@@ -1,7 +1,7 @@
 package repro_test
 
 // Benchmark harness: one testing.B benchmark per table/figure of the
-// paper's evaluation (see DESIGN.md §4 for the index). Each benchmark
+// paper's evaluation (experiments.Registry is the index). Each benchmark
 // regenerates its artifact through the same driver `spiderbench` uses, at
 // reduced (Quick) scale so `go test -bench=.` completes in minutes; run
 // `go run ./cmd/spiderbench -all` for the full-scale tables.
@@ -110,7 +110,8 @@ func BenchmarkAppC3VariedR(b *testing.B) { benchExperiment(b, "appC3") }
 // BenchmarkAppC4VariedEpsilon regenerates the Appendix C(4) varied-ε study.
 func BenchmarkAppC4VariedEpsilon(b *testing.B) { benchExperiment(b, "appC4") }
 
-// BenchmarkAblations times the DESIGN.md ablation suite.
+// BenchmarkAblations times the design-choice ablation suite
+// (experiments.Ablations).
 func BenchmarkAblations(b *testing.B) { benchExperiment(b, "ablations") }
 
 // --- micro-benchmarks of the core stages, for profiling ---

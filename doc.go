@@ -6,9 +6,10 @@
 // generators of the evaluation, and a harness that regenerates every
 // table and figure.
 //
-// Start with README.md for the layout, DESIGN.md for the system inventory
-// and per-experiment index, and EXPERIMENTS.md for paper-vs-measured
-// results. The root package contains only the benchmark harness
+// Start with README.md for the layout; experiments.Registry
+// (internal/experiments) indexes the per-table and per-figure drivers, and
+// `spiderbench -list` prints their ids. The root package contains only
+// the benchmark harness
 // (bench_test.go); the implementation lives under internal/, and the
 // public surface is the mine package.
 //

@@ -32,9 +32,11 @@ import (
 //   - Automorphism/orbit pruning: two leaves with equal codes witness an
 //     automorphism; at a branch node, candidates related to an
 //     already-explored sibling by a discovered automorphism that fixes
-//     the node's individualized prefix are skipped. A hub with k
-//     interchangeable legs collapses from ~k! leaf orderings to O(k^2)
-//     search nodes.
+//     the node's individualized prefix are skipped. Pendant twins
+//     (equal-label leaves of one vertex) are seeded as generators before
+//     the search, so a hub with k interchangeable leaves collapses from
+//     ~k! leaf orderings to O(k) search nodes; interchangeable longer
+//     legs, found at leaves, cost O(k^2).
 //
 // The canonical form is the minimum leaf under the order (trace sequence,
 // then code), where a trace that ends (a partition that went discrete) at
@@ -46,7 +48,7 @@ type Canonizer struct {
 	// Runs counts canonical-code computations and Nodes the search-tree
 	// nodes they visited, cumulatively; both are plain counters the owner
 	// may reset at will. Their ratio exposes how much of the search the
-	// pruning removes (a k-leg hub costs O(k^2) nodes, not k!).
+	// pruning removes (a k-leaf hub costs O(k) nodes, not k!).
 	Runs  int64
 	Nodes int64
 
@@ -88,6 +90,7 @@ type Canonizer struct {
 	gens     [][]int32
 	nGen     int
 	uf       []int32 // orbit union-find scratch, shared across the search stack
+	twin     []int32 // seedTwins scratch: last pendant seen per neighbor, -1 none
 	ufEpoch  int     // bumped on every rebuild so ancestors detect descendants' rebuilds
 	pathMark []bool  // vertex currently individualized on the search path
 
@@ -139,6 +142,20 @@ func (c *Canonizer) Append(dst []byte, g *graph.Graph) []byte {
 	return append(dst, c.best...)
 }
 
+// AppendLabeling is Append that also returns the canonical labelling.
+// perm[p] is the vertex of g at position p of the code (the best leaf's
+// vertex order), so two graphs with equal codes are isomorphic through
+// perm1[p] -> perm2[p]. rigid reports that the search visited a single
+// node: refinement alone made the partition discrete, so g has no
+// nontrivial automorphism and that isomorphism is the only one. perm is
+// the Canonizer's scratch and is valid until its next call. A warm
+// Canonizer labels with zero heap allocation (given dst capacity).
+func (c *Canonizer) AppendLabeling(dst []byte, g *graph.Graph) (code []byte, perm []graph.V, rigid bool) {
+	nodes := c.Nodes
+	c.run(g)
+	return append(dst, c.best...), c.bestPerm[:g.N()], c.Nodes-nodes <= 1
+}
+
 func (c *Canonizer) run(g *graph.Graph) {
 	c.Runs++
 	n := g.N()
@@ -176,6 +193,7 @@ func (c *Canonizer) run(g *graph.Graph) {
 		c.pushCell(int32(i))
 		i = j
 	}
+	c.seedTwins()
 	c.search(0, 0)
 	c.g = nil
 }
@@ -194,6 +212,7 @@ func (c *Canonizer) ensure(n int) {
 		c.cnt = make([]int32, n)
 		c.affMark = make([]bool, n)
 		c.uf = make([]int32, n)
+		c.twin = make([]int32, n)
 		c.pathMark = make([]bool, n)
 	}
 	c.verts = c.verts[:n]
@@ -204,6 +223,7 @@ func (c *Canonizer) ensure(n int) {
 	c.cnt = c.cnt[:n]
 	c.affMark = c.affMark[:n]
 	c.uf = c.uf[:n]
+	c.twin = c.twin[:n]
 	c.pathMark = c.pathMark[:n]
 }
 
@@ -487,6 +507,33 @@ func (c *Canonizer) encode() {
 	c.cur = buf
 }
 
+// seedTwins records the transposition of every pair of pendant twins —
+// equal-label degree-1 vertices hanging off the same vertex — as an
+// automorphism generator before the search starts. Consecutive pairs
+// generate each twin class's full symmetric group, so orbit pruning
+// explores one twin per class and depth instead of rediscovering each
+// swap at a leaf: a hub with k interchangeable legs costs O(k) search
+// nodes, not O(k^2). The code is unchanged, since pruning by any
+// automorphism that fixes the prefix skips only subtrees whose leaves
+// repeat explored codes. c.verts is in label order here, so twins of one
+// class arrive consecutively per neighbor.
+func (c *Canonizer) seedTwins() {
+	g := c.g
+	for i := range c.twin {
+		c.twin[i] = -1
+	}
+	for _, v := range c.verts {
+		if g.Degree(v) != 1 {
+			continue
+		}
+		w := g.Neighbors(v)[0]
+		if u := c.twin[w]; u >= 0 && g.Label(u) == g.Label(v) && c.nGen < maxGens {
+			c.pushGen(append(c.genBuf(), u, v, v, u))
+		}
+		c.twin[w] = v
+	}
+}
+
 // recordAutomorphism derives the automorphism mapping the best leaf's
 // order onto the current leaf's order and keeps its support — flattened
 // (vertex, image) pairs — as an orbit-pruning generator.
@@ -494,22 +541,33 @@ func (c *Canonizer) recordAutomorphism() {
 	if c.nGen >= maxGens {
 		return
 	}
-	var gamma []int32
-	if c.nGen < len(c.gens) {
-		gamma = c.gens[c.nGen][:0]
-	}
+	gamma := c.genBuf()
 	for i := 0; i < c.n; i++ {
 		if c.bestPerm[i] != c.verts[i] {
 			gamma = append(gamma, c.bestPerm[i], c.verts[i])
 		}
 	}
+	if len(gamma) == 0 {
+		return // identity: distinct leaves always differ, but be safe
+	}
+	c.pushGen(gamma)
+}
+
+// genBuf returns generator slot nGen's retained backing array, emptied,
+// for the caller to fill and hand to pushGen.
+func (c *Canonizer) genBuf() []int32 {
+	if c.nGen < len(c.gens) {
+		return c.gens[c.nGen][:0]
+	}
+	return nil
+}
+
+// pushGen stores gamma as live generator nGen.
+func (c *Canonizer) pushGen(gamma []int32) {
 	if c.nGen < len(c.gens) {
 		c.gens[c.nGen] = gamma
 	} else {
 		c.gens = append(c.gens, gamma)
-	}
-	if len(gamma) == 0 {
-		return // identity: distinct leaves always differ, but be safe
 	}
 	c.nGen++
 }

@@ -105,9 +105,8 @@ func Lemma2Table() *Report {
 	return rep
 }
 
-// Ablations runs the design-choice ablations DESIGN.md calls out on one
-// GID-1 dataset: spider-set pruning on/off and Stage II merge pruning
-// on/off.
+// Ablations runs the design-choice ablations on one GID-1 dataset:
+// spider-set pruning on/off and Stage II merge pruning on/off.
 func Ablations(seed int64) *Report {
 	g, _ := gen.Synthetic(gen.GIDConfig(1, seed))
 	rep := &Report{

@@ -28,7 +28,7 @@ func TestReportRender(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	// Every experiment in DESIGN.md's index must be registered.
+	// Every table and figure of the paper's evaluation must be registered.
 	want := []string{
 		"fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
 		"fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",

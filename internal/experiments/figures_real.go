@@ -13,8 +13,9 @@ import (
 
 // Fig20 reproduces the DBLP experiment (σ=4, K=20): pattern-size
 // histograms of SpiderMine vs SUBDUE on the synthetic co-authorship
-// network (see DESIGN.md for the substitution argument). Scale shrinks the
-// author count; Scale=1 matches the paper's 6,508-author graph.
+// network (gen.DBLPLike stands in for the unavailable DBLP extraction).
+// Scale shrinks the author count; Scale=1 matches the paper's
+// 6,508-author graph.
 func Fig20(seed int64, scale float64) *Report {
 	g, _ := gen.DBLPLike(gen.DBLPConfig{
 		Authors: scaled(6508, scale),

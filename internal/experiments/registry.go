@@ -68,8 +68,9 @@ func scaleWorkers() int {
 // Runner produces a report for one experiment id.
 type Runner func(Params) *Report
 
-// Registry maps experiment ids (DESIGN.md's per-experiment index) to
-// drivers. Populated in init to allow aliases (fig12→fig11, fig17→fig13)
+// Registry maps experiment ids — one per table or figure of the paper's
+// evaluation, plus the Lemma 2 and ablation studies — to drivers; it is
+// the experiment index (`spiderbench -list` prints it). Populated in init to allow aliases (fig12→fig11, fig17→fig13)
 // without an initialization cycle.
 var Registry map[string]Runner
 

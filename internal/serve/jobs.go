@@ -401,7 +401,6 @@ func (s *Scheduler) Submit(sg *StoredGraph, minerName string, opts mine.Options)
 		job.cached = true
 		job.result = cachedRes
 		job.finished = time.Now().UTC()
-		s.metrics.jobFinished(StatusDone)
 	} else {
 		select {
 		case s.queue <- job:
@@ -415,6 +414,10 @@ func (s *Scheduler) Submit(sg *StoredGraph, minerName string, opts mine.Options)
 	s.evictLocked()
 	s.mu.Unlock()
 	if hit {
+		// Recorded only now: the metrics registry's scrape callbacks take
+		// s.mu under the registry mutex, so recording under s.mu would
+		// take the two locks in the opposite order.
+		s.metrics.jobFinished(StatusDone)
 		// A cache hit is born terminal; journal it like any other
 		// completion (after s.mu is released — journalTerminal fsyncs).
 		s.journalTerminal(job)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/store"
 	"repro/mine"
 )
 
@@ -140,6 +141,91 @@ func TestCacheDegradeIsNotAMiss(t *testing.T) {
 	if st.Degraded != 1 || st.Misses != 1 || st.Hits != 1 {
 		t.Fatalf("stats = %+v, want hits=1 misses=1 degraded=1", st)
 	}
+}
+
+// TestCacheDiskMissIsAMiss: the durable tier wraps store.ErrNotFound,
+// and a lookup of a key nobody computed must still count as a miss, not
+// as a degrade. (Regression: an == test counted every Disk miss as
+// degraded.)
+func TestCacheDiskMissIsAMiss(t *testing.T) {
+	d, err := store.OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	c := NewCacheWith(4, d)
+	if _, ok := c.Get(CacheKey{Host: "absent", Miner: "m", Options: "o"}); ok {
+		t.Fatal("unknown key returned a hit")
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Degraded != 0 {
+		t.Fatalf("stats = %+v, want misses=1 degraded=0", st)
+	}
+}
+
+// TestCachedSubmitVsScrapeNoDeadlock: a cache-hit Submit records its
+// finished-job metric while scrapes evaluate the submitted-jobs
+// callback, which takes the scheduler mutex under the registry mutex.
+// Both hammered at once must finish. (Regression: the cache-hit branch
+// recorded under the scheduler mutex, taking the two locks in the
+// opposite order, and hung the daemon.)
+func TestCachedSubmitVsScrapeNoDeadlock(t *testing.T) {
+	setTestMiner(t, nil)
+	srv := New(Config{Runners: 1, QueueCap: 8, CacheCap: 8})
+	sg, _, err := srv.store.Add(mine.FromEdges([]mine.Label{1, 2}, []mine.Edge{{U: 0, W: 1}}), "tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := mine.Options{Seed: 1}
+	j, err := srv.sched.Submit(sg, "testminer", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, j) // primes the cache
+
+	const rounds = 400
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		for w := 0; w < 3; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					j, err := srv.sched.Submit(sg, "testminer", opts)
+					if err != nil {
+						t.Errorf("submit: %v", err)
+						return
+					}
+					if !j.Snapshot().Cached {
+						t.Error("repeat submit was not served from the cache")
+						return
+					}
+				}
+			}()
+		}
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					srv.metrics.reg.Snapshot()
+					if err := srv.metrics.reg.WritePrometheus(io.Discard); err != nil {
+						t.Errorf("scrape: %v", err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		// The server stays up: its Shutdown would block on the held locks.
+		t.Fatal("cached submits and registry scrapes deadlocked")
+	}
+	srv.Shutdown(context.Background())
 }
 
 // TestEncodeFailuresCounted pins satellite accounting for response

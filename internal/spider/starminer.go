@@ -27,9 +27,9 @@ import (
 //   - level 1: flat (head, leaf, host) triples built per chunk,
 //     concatenated in chunk order and sorted by the total order
 //     (head, leaf, host) — the exact frontier the map+sort path built;
-//   - expansion: per-worker starScratch (candidate/host buffers plus the
-//     output arenas), with per-item output spans concatenated in frontier
-//     order, so results stay bit-identical for any worker count.
+//   - expansion: per-worker starScratch ((label, host) key buffer plus
+//     the output arenas), with per-item output spans concatenated in
+//     frontier order, so results stay bit-identical for any worker count.
 type StarMiner struct {
 	nbrFlat []graph.Label
 	nbrOff  []int32
@@ -79,20 +79,31 @@ type expandSpan struct {
 	w, lo, hi int32
 }
 
-// starScratch is one worker's expansion state: transient candidate/host
-// buffers plus the arenas that back the retained output (hosts, leaf
-// multisets, MinedStar structs). Worker i owns scratch i for the duration
-// of a level; arenas reset only between runs, never between levels, so
-// every star of a run stays valid until the next Mine.
+// starScratch is one worker's expansion state: the transient
+// (label, host) key buffer plus the arenas that back the retained output
+// (hosts, leaf multisets, MinedStar structs). Worker i owns scratch i for
+// the duration of a level; arenas reset only between runs, never between
+// levels, so every star of a run stays valid until the next Mine.
 type starScratch struct {
-	cands []graph.Label
-	hosts []graph.V
-	out   []*MinedStar
+	keys []uint64
+	out  []*MinedStar
 
 	hostArena arena[graph.V]
 	leafArena arena[graph.Label]
 	stars     arena[MinedStar]
 }
+
+// extKey packs one extension observation of expand — host v has room
+// for one more leaf labeled l — into a key whose unsigned order is
+// (label, host) order; flipping the sign bit keeps negative labels below
+// non-negative ones.
+func extKey(l graph.Label, v graph.V) uint64 {
+	return uint64(uint32(l)^1<<31)<<32 | uint64(uint32(v))
+}
+
+func extLabel(k uint64) graph.Label { return graph.Label(int32(uint32(k>>32) ^ 1<<31)) }
+
+func extHost(k uint64) graph.V { return graph.V(uint32(k)) }
 
 func (s *starScratch) resetRun() {
 	s.hostArena.reset()
@@ -148,17 +159,6 @@ func growI32(b []int32, n int) []int32 {
 
 func (sm *StarMiner) nbrLabels(v graph.V) []graph.Label {
 	return sm.nbrFlat[sm.nbrOff[v]:sm.nbrOff[v+1]]
-}
-
-// countLabel counts occurrences of l among v's neighbor labels.
-func (sm *StarMiner) countLabel(v graph.V, l graph.Label) int {
-	ls := sm.nbrLabels(v)
-	lo, _ := slices.BinarySearch(ls, l)
-	hi := lo
-	for hi < len(ls) && ls[hi] == l {
-		hi++
-	}
-	return hi - lo
 }
 
 // Mine enumerates all frequent stars of g level-wise; see MineStarsContext
@@ -222,12 +222,11 @@ func (sm *StarMiner) Mine(ctx context.Context, g *graph.Graph, opt Options) ([]*
 			buf := sm.chunkTriples[ci][:0]
 			for v := c[0]; v < c[1]; v++ {
 				hl := g.Label(graph.V(v))
-				var prev graph.Label = -1
-				for _, l := range sm.nbrLabels(graph.V(v)) {
-					if l == prev {
+				ls := sm.nbrLabels(graph.V(v))
+				for i, l := range ls {
+					if i > 0 && l == ls[i-1] {
 						continue
 					}
-					prev = l
 					buf = append(buf, pairTriple{head: hl, leaf: l, v: graph.V(v)})
 				}
 			}
@@ -330,53 +329,63 @@ func (sm *StarMiner) expandLevel(ctx context.Context, g *graph.Graph, frontier [
 }
 
 // expand appends to s.out every frequent one-leaf extension of ms whose
-// new leaf label is >= the star's last leaf (canonical generation order).
+// new leaf label is >= the star's last leaf (canonical generation order),
+// labels ascending, each with its hosts ascending. One pass over each
+// host's sorted neighbor labels, from the last leaf label on, emits a
+// (label, host) key for every label run long enough to hold one more
+// leaf of that label: 1, or 1 + last's multiplicity among the leaves when
+// the label is last (every other candidate label exceeds all leaves).
+// Sorting the keys orders them by label, and within a label by host —
+// the order the ascending ms.Hosts emitted them in, so this is the stable
+// label sort — and cuts them into per-label host lists.
 func (sm *StarMiner) expand(g *graph.Graph, ms *MinedStar, sigma int, s *starScratch) {
 	leaves := ms.Star.Leaves
 	last := leaves[len(leaves)-1]
-	// Candidate extension labels: any label >= last present among hosts'
-	// neighbors, deduplicated by sort+compact.
-	cands := s.cands[:0]
+	needLast := 1
+	for i := len(leaves) - 1; i >= 0 && leaves[i] == last; i-- {
+		needLast++
+	}
+	keys := s.keys[:0]
 	for _, v := range ms.Hosts {
 		ls := sm.nbrLabels(v)
-		lo, _ := slices.BinarySearch(ls, last)
-		var prev graph.Label = -1
-		for _, l := range ls[lo:] {
-			if l != prev {
-				cands = append(cands, l)
-				prev = l
+		i, _ := slices.BinarySearch(ls, last)
+		for i < len(ls) {
+			l := ls[i]
+			j := i + 1
+			for j < len(ls) && ls[j] == l {
+				j++
 			}
+			need := 1
+			if l == last {
+				need = needLast
+			}
+			if j-i >= need {
+				keys = append(keys, extKey(l, v))
+			}
+			i = j
 		}
 	}
-	slices.Sort(cands)
-	cands = slices.Compact(cands)
-	s.cands = cands
+	slices.Sort(keys)
+	s.keys = keys
 
-	for _, l := range cands {
-		need := 1
-		for _, x := range leaves {
-			if x == l {
-				need++
+	for i := 0; i < len(keys); {
+		l := extLabel(keys[i])
+		j := i + 1
+		for j < len(keys) && keys[j]>>32 == keys[i]>>32 {
+			j++
+		}
+		if j-i >= sigma {
+			hosts := s.hostArena.alloc(j - i)
+			for k := i; k < j; k++ {
+				hosts[k-i] = extHost(keys[k])
 			}
+			lcopy := s.leafArena.alloc(len(leaves) + 1)
+			copy(lcopy, leaves)
+			lcopy[len(leaves)] = l // l >= last: appending keeps the multiset sorted
+			nms := &s.stars.alloc(1)[0]
+			*nms = MinedStar{Star: Star{Head: ms.Star.Head, Leaves: lcopy}, Hosts: hosts}
+			s.out = append(s.out, nms)
 		}
-		hosts := s.hosts[:0]
-		for _, v := range ms.Hosts {
-			if sm.countLabel(v, l) >= need {
-				hosts = append(hosts, v)
-			}
-		}
-		s.hosts = hosts
-		if len(hosts) < sigma {
-			continue
-		}
-		hcopy := s.hostArena.alloc(len(hosts))
-		copy(hcopy, hosts)
-		lcopy := s.leafArena.alloc(len(leaves) + 1)
-		copy(lcopy, leaves)
-		lcopy[len(lcopy)-1] = l
-		slices.Sort(lcopy)
-		nms := &s.stars.alloc(1)[0]
-		*nms = MinedStar{Star: Star{Head: ms.Star.Head, Leaves: lcopy}, Hosts: hcopy}
-		s.out = append(s.out, nms)
+		i = j
 	}
 }

@@ -47,6 +47,37 @@
 //     ([]graph.V sized before the append loop), so growing one pattern's
 //     embedding list can never reallocate under a neighbor's sub-slice.
 //
+// # Performance notes: Stage I expansion and merge identity
+//
+// The two layers that dominate a GID-10 mine each do their identity or
+// counting work once:
+//
+//   - Stage I expansion (spider.StarMiner.expand) makes one pass over each
+//     host's sorted neighbor-label slice, from the star's last leaf label
+//     on, and emits a packed (label, host) key for every label run long
+//     enough for one more leaf; one sort of the keys (hosts arrive
+//     ascending, so this is the stable label order) cuts them into the
+//     per-label host lists. Output order is labels ascending, hosts
+//     ascending.
+//   - Merge buckets (tryMerge) are keyed by canonical code: each distinct
+//     union is canonicalised once by the worker's canon.Canonizer
+//     (AppendLabeling) and finds its bucket by exact code bytes. Buckets
+//     are pairwise non-isomorphic, so a union matches at most one. A rigid
+//     union (refinement alone made its partition discrete) re-expresses
+//     its embedding by composing the two canonical labellings, which is
+//     exactly the unique isomorphism; only a union with automorphisms
+//     calls Iso.MapInto, once, against the matching bucket, and MapInto's
+//     first match fixes its embedding vertex order.
+//     Stats.IsoRun counts those fallback calls (plus result-dedupe code
+//     comparisons); the merge canonicalisations fold into
+//     Stats.CanonRun/CanonNodes at each join.
+//
+// TestStarMinerMatchesReference (internal/spider) and
+// TestAppendLabelingDifferential (internal/canon) are the differential
+// oracles for the two layers; TestResultFingerprintsPinned (this
+// package) pins whole results, so a merge that reorders embedding
+// vertices fails it.
+//
 // The allocation budgets are pinned by TestStageIAllocBudget and
 // TestFullPipelineAllocBudget (repo root), the warm 0-alloc contracts by
 // TestStarMinerWarmNoAlloc (internal/spider) and TestGrowScratchWarm*

@@ -1,6 +1,7 @@
 package spidermine
 
 import (
+	"bytes"
 	"slices"
 
 	"repro/internal/canon"
@@ -149,6 +150,7 @@ func (m *Miner) checkMerges(ws []*grown) ([]*grown, error) {
 		}
 	} else {
 		sc := m.mergeWS.For(1)[0]
+		defer m.stats.addCanon(&sc.cz)
 		for _, gp := range groups {
 			if m.done != nil {
 				if err := m.cancelled(); err != nil {
@@ -200,11 +202,14 @@ type pairGroup struct {
 }
 
 // mbucket is one structure class of union subgraphs during tryMerge:
-// representative graph, its iso-consistent embeddings, and the 128-bit
-// image-hash dedupe set. Buckets are pooled per worker in mergeScratch;
-// the winner's embs list is copied out, so the backing arrays recycle.
+// the representative graph with its canonical code and labelling (perm[p]
+// is the repr vertex at code position p), its iso-consistent embeddings,
+// and the 128-bit image-hash dedupe set. Buckets are pooled per worker in
+// mergeScratch; the winner's embs list is copied out, so the backing
+// arrays recycle.
 type mbucket struct {
-	inv  uint64
+	code []byte
+	perm []graph.V
 	repr *graph.Graph
 	embs []pattern.Embedding
 	seen map[[2]uint64]struct{}
@@ -212,8 +217,10 @@ type mbucket struct {
 
 // mergeScratch is one worker's tryMerge state: mapped-edge and union
 // buffers, the union-hash dedupe set, the pooled subgraph builder and
-// vertex scratch, the bucket pool, and the WL/isomorphism scratch. Owned
-// by exactly one worker for the duration of a merge wave.
+// vertex scratch, the bucket pool, the Canonizer that keys buckets and
+// its code buffer, and the isomorphism scratch for non-rigid unions.
+// Owned by exactly one worker for the duration of a merge wave; the
+// Canonizer's counters are folded into Stats at the wave's join.
 type mergeScratch struct {
 	bufA, bufB []graph.Edge
 	unionBuf   []graph.Edge
@@ -222,6 +229,8 @@ type mergeScratch struct {
 	vertsBuf   []graph.V
 	b          graph.Builder
 	buckets    []*mbucket
+	cz         canon.Canonizer
+	code       []byte
 	iso        canon.Iso
 }
 
@@ -231,10 +240,16 @@ type mergeScratch struct {
 // unassigned — the caller's ordered reduction numbers accepted merges).
 // Returns nil if no frequent merged structure exists.
 //
+// Each distinct union is canonicalised once and finds its bucket by exact
+// code bytes. A rigid union's embedding is re-expressed by composing the
+// two canonical labellings; only a union with automorphisms pays one
+// MapInto against the matching bucket, whose first match fixes the
+// embedding vertex order.
+//
 // tryMerge is read-only on pa, pb, and the Miner, and confines its
 // mutable state to sc, so merge rounds may evaluate many pairs
 // concurrently; isoRun is the caller-owned (per-worker when parallel)
-// isomorphism-test counter.
+// counter of those fallback MapInto calls.
 func (m *Miner) tryMerge(pa, pb *pattern.Pattern, eps []mergeCand, sc *mergeScratch, isoRun *int64) *pattern.Pattern {
 	if sc.seenUnions == nil {
 		sc.seenUnions = make(map[[2]uint64]struct{})
@@ -275,28 +290,39 @@ func (m *Miner) tryMerge(pa, pb *pattern.Pattern, eps []mergeCand, sc *mergeScra
 		if !ug.DiameterAtMost(m.cfg.Dmax) {
 			continue
 		}
-		emb := make(pattern.Embedding, len(verts))
-		copy(emb, verts)
-
-		inv := sc.iso.Invariant(ug)
-		placed := false
-		// Linear scan of the pooled buckets filtered by invariant — same
-		// visit order as the historical per-invariant append lists.
-		for bi := 0; bi < used; bi++ {
-			bk := sc.buckets[bi]
-			if bk.inv != inv || bk.repr.N() != ug.N() || bk.repr.M() != ug.M() {
-				continue
+		// One canonicalisation per distinct union; its code names the
+		// bucket exactly (buckets are pairwise non-isomorphic).
+		var perm []graph.V
+		var rigid bool
+		sc.code, perm, rigid = sc.cz.AppendLabeling(sc.code[:0], ug)
+		var bk *mbucket
+		for _, b := range sc.buckets[:used] {
+			if bytes.Equal(b.code, sc.code) {
+				bk = b
+				break
 			}
-			mapping := sc.iso.MapInto(ug, bk.repr)
-			*isoRun++
-			if mapping == nil {
-				continue
-			}
-			// Re-express emb in repr's vertex order: repr vertex i hosts
-			// emb[inverse(i)].
-			re := make(pattern.Embedding, len(emb))
-			for ugv, reprv := range mapping {
-				re[reprv] = emb[ugv]
+		}
+		if bk != nil {
+			// Re-express the union's embedding in repr's vertex order: repr
+			// vertex i hosts the image of the union vertex mapped onto i.
+			re := make(pattern.Embedding, len(verts))
+			if rigid {
+				// The isomorphism is unique, so composing the two canonical
+				// labellings yields exactly what MapInto would find.
+				for p, v := range perm {
+					re[bk.perm[p]] = verts[v]
+				}
+			} else {
+				// Automorphisms leave a choice of isomorphism; MapInto's
+				// first match fixes the embedding's vertex order.
+				mapping := sc.iso.MapInto(ug, bk.repr)
+				*isoRun++
+				if mapping == nil {
+					panic("spidermine: equal canonical codes without an isomorphism")
+				}
+				for ugv, reprv := range mapping {
+					re[reprv] = verts[ugv]
+				}
 			}
 			var h [2]uint64
 			h, sc.imgBuf = canon.ImageHash(sc.imgBuf, bk.repr, canon.Mapping(re))
@@ -304,27 +330,26 @@ func (m *Miner) tryMerge(pa, pb *pattern.Pattern, eps []mergeCand, sc *mergeScra
 				bk.seen[h] = struct{}{}
 				bk.embs = append(bk.embs, re)
 			}
-			placed = true
-			break
+			continue
 		}
-		if !placed {
-			var bk *mbucket
-			if used < len(sc.buckets) {
-				bk = sc.buckets[used]
-				bk.embs = bk.embs[:0]
-				clear(bk.seen)
-			} else {
-				bk = &mbucket{seen: make(map[[2]uint64]struct{})}
-				sc.buckets = append(sc.buckets, bk)
-			}
-			used++
-			bk.inv = inv
-			bk.repr = ug
-			var h [2]uint64
-			h, sc.imgBuf = canon.ImageHash(sc.imgBuf, ug, canon.Mapping(emb))
-			bk.seen[h] = struct{}{}
-			bk.embs = append(bk.embs, emb)
+		if used < len(sc.buckets) {
+			bk = sc.buckets[used]
+			bk.embs = bk.embs[:0]
+			clear(bk.seen)
+		} else {
+			bk = &mbucket{seen: make(map[[2]uint64]struct{})}
+			sc.buckets = append(sc.buckets, bk)
 		}
+		used++
+		bk.code = append(bk.code[:0], sc.code...)
+		bk.perm = append(bk.perm[:0], perm...)
+		bk.repr = ug
+		emb := make(pattern.Embedding, len(verts))
+		copy(emb, verts)
+		var h [2]uint64
+		h, sc.imgBuf = canon.ImageHash(sc.imgBuf, ug, canon.Mapping(emb))
+		bk.seen[h] = struct{}{}
+		bk.embs = append(bk.embs, emb)
 	}
 
 	// Choose the best frequent bucket: largest structure first, then most

@@ -167,12 +167,20 @@ type Stats struct {
 	GrowIterations int           // total SpiderGrow iterations
 	Merges         int           // successful CheckMerge events
 	IsoSkipped     int64         // isomorphism tests skipped by spider-set pruning
-	IsoRun         int64         // exact isomorphism tests executed (work counter; may grow with Workers > 1 — parallel merge rounds evaluate pairs speculatively)
-	CanonRun       int64         // canonical-code computations by the miner's Canonizer (spider-set signatures + exact identity checks)
+	IsoRun         int64         // exact isomorphism tests: result-dedupe code comparisons plus merge MapInto fallbacks for unions with automorphisms (work counter; may grow with Workers > 1 — parallel merge rounds evaluate pairs speculatively)
+	CanonRun       int64         // canonical-code computations: spider-set signatures, exact identity checks and one per distinct merge union (the latter may grow with Workers > 1)
 	CanonNodes     int64         // individualization–refinement search nodes across those runs; CanonNodes/CanonRun quantifies the orbit/trace pruning
 	StageI         time.Duration // spider mining time
 	StageII        time.Duration // growth + merge time
 	StageIII       time.Duration // recovery time
+}
+
+// addCanon folds a Canonizer's counters into CanonRun/CanonNodes and
+// zeroes them, so every computation is counted exactly once.
+func (s *Stats) addCanon(cz *canon.Canonizer) {
+	s.CanonRun += cz.Runs
+	s.CanonNodes += cz.Nodes
+	cz.Runs, cz.Nodes = 0, 0
 }
 
 func (s Stats) String() string {
@@ -198,9 +206,10 @@ type Miner struct {
 	nextID int
 	// cz is the miner-owned Canonizer every coordinator-side pattern
 	// identity check routes through (spider-set signatures and exact
-	// canonical-code comparisons); its counters feed Stats.CanonRun /
-	// CanonNodes. Identity checks run sequentially on the coordinator, so
-	// one scratch instance serves the whole run.
+	// canonical-code comparisons); its counters are folded into
+	// Stats.CanonRun / CanonNodes after every check. Identity checks run
+	// sequentially on the coordinator, so one scratch instance serves the
+	// whole run.
 	cz *canon.Canonizer
 	// ctx/done carry the run's cancellation signal; set by RunContext.
 	// done is nil for an uncancellable context, which gates every
@@ -679,7 +688,6 @@ func (m *Miner) sameStructure(a, b *pattern.Pattern) bool {
 		m.stats.IsoRun++
 		same = a.CanonicalCodeWith(m.cz) == b.CanonicalCodeWith(m.cz)
 	}
-	m.stats.CanonRun = m.cz.Runs
-	m.stats.CanonNodes = m.cz.Nodes
+	m.stats.addCanon(m.cz)
 	return same
 }

@@ -70,8 +70,9 @@ func (m *Miner) growAllParallel(ws []*grown, workers int) (bool, error) {
 // is discarded during the reduction — exactly the groups the sequential
 // engine would have skipped — so the accepted merges, their IDs, and
 // their order are identical for any worker count. Only the
-// speculative-work counter (Stats.IsoRun) can exceed the sequential
-// run's. mergeParallel returns ctx.Err() if a wave is cancelled
+// speculative-work counters (Stats.IsoRun, and the merge
+// canonicalisations in Stats.CanonRun/CanonNodes) can exceed the
+// sequential run's. mergeParallel returns ctx.Err() if a wave is cancelled
 // mid-evaluation; waves already reduced stay applied, the cancelled wave
 // is discarded, and the caller's caller rolls back to its last committed
 // snapshot.
@@ -97,9 +98,7 @@ func (m *Miner) mergeParallel(ws []*grown, groups []pairGroup, workers int, cons
 			results[i] = m.tryMerge(ws[gp.pk.a].p, ws[gp.pk.b].p, m.mergeCands[gp.lo:gp.hi], scs[wk], &isoRuns[wk])
 		}); err != nil {
 			m.batch = batch
-			for _, n := range isoRuns {
-				m.stats.IsoRun += n
-			}
+			m.foldMergeStats(scs, isoRuns)
 			return err
 		}
 		for i, gp := range batch {
@@ -112,8 +111,15 @@ func (m *Miner) mergeParallel(ws []*grown, groups []pairGroup, workers int, cons
 		}
 	}
 	m.batch = batch
-	for _, n := range isoRuns {
-		m.stats.IsoRun += n
-	}
+	m.foldMergeStats(scs, isoRuns)
 	return nil
+}
+
+// foldMergeStats adds the workers' fallback isomorphism tests and merge
+// canonicalisations to Stats, in worker order.
+func (m *Miner) foldMergeStats(scs []*mergeScratch, isoRuns []int64) {
+	for wk, sc := range scs {
+		m.stats.IsoRun += isoRuns[wk]
+		m.stats.addCanon(&sc.cz)
+	}
 }

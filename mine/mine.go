@@ -240,8 +240,8 @@ type Stats struct {
 	GrowIterations int           `json:"grow_iterations,omitempty"` // growth iterations executed
 	Merges         int           `json:"merges,omitempty"`          // successful merges
 	IsoSkipped     int64         `json:"iso_skipped,omitempty"`     // isomorphism tests pruned away
-	IsoRun         int64         `json:"iso_run,omitempty"`         // exact isomorphism tests executed
-	CanonRun       int64         `json:"canon_run,omitempty"`       // canonical-code computations (SpiderMine identity checks)
+	IsoRun         int64         `json:"iso_run,omitempty"`         // exact isomorphism tests executed (SpiderMine: result-dedupe checks plus merge MapInto calls for unions with automorphisms)
+	CanonRun       int64         `json:"canon_run,omitempty"`       // canonical-code computations (SpiderMine: identity checks plus one per distinct merge union)
 	CanonNodes     int64         `json:"canon_nodes,omitempty"`     // canonicalization search nodes; CanonNodes/CanonRun quantifies orbit/trace pruning
 	Stages         []StageTime   `json:"stages,omitempty"`          // per-stage wall-clock, in stage order
 	Elapsed        time.Duration `json:"elapsed_ns"`                // total wall-clock of the run
