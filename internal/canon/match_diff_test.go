@@ -1,7 +1,10 @@
 package canon
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -242,5 +245,71 @@ func TestMatcherZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm Matcher.Enumerate averaged %v allocs/run; want 0", allocs)
+	}
+}
+
+// TestImageHashPackedSort pins ImageHash and AppendImageKey, which sort
+// image edges as packed words, against a comparator sort of the same
+// edges: random edge lists of 0–600 edges cover the insertion-sort cut
+// and both sides of the stack-buffer bound, and host ids up to 2³¹−1
+// cover the high bit of each packed half.
+func TestImageHashPackedSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	sizes := []int{0, 1, 2, 15, 16, 17, edgeSortStack - 1, edgeSortStack, edgeSortStack + 1, 599, 600}
+	for i := 0; i < 40; i++ {
+		sizes = append(sizes, rng.Intn(601))
+	}
+	var buf []graph.Edge
+	for _, m := range sizes {
+		const nv = 36 // 630 vertex pairs, room for 600 edges
+		b := graph.NewBuilder(nv, m)
+		for v := 0; v < nv; v++ {
+			b.AddVertex(graph.Label(rng.Intn(3)))
+		}
+		for added := 0; added < m; {
+			u, w := graph.V(rng.Intn(nv)), graph.V(rng.Intn(nv))
+			if u != w && !b.HasEdge(u, w) {
+				b.AddEdge(u, w)
+				added++
+			}
+		}
+		p := b.Build()
+		// An injective mapping mixing small ids with ids near 2³¹−1.
+		mp := make(Mapping, nv)
+		used := map[graph.V]bool{}
+		for v := range mp {
+			for {
+				h := graph.V(rng.Intn(1000))
+				if rng.Intn(2) == 0 {
+					h = math.MaxInt32 - h
+				}
+				if !used[h] {
+					used[h], mp[v] = true, h
+					break
+				}
+			}
+		}
+		want := AppendMappedEdges(nil, p, mp)
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].U != want[j].U {
+				return want[i].U < want[j].U
+			}
+			return want[i].W < want[j].W
+		})
+		var h [2]uint64
+		h, buf = ImageHash(buf, p, mp)
+		if !slices.Equal(buf, want) {
+			t.Fatalf("%d edges: ImageHash sorted the image as %v, want %v", m, buf, want)
+		}
+		if h != HashEdges(want) {
+			t.Fatalf("%d edges: ImageHash %x, want %x", m, h, HashEdges(want))
+		}
+		var key []byte
+		for _, e := range want {
+			key = appendVarint(appendVarint(key, uint64(e.U)), uint64(e.W))
+		}
+		if got := AppendImageKey(nil, p, mp); !bytes.Equal(got, key) {
+			t.Fatalf("%d edges: AppendImageKey differs from the comparator-sorted key", m)
+		}
 	}
 }

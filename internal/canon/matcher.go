@@ -265,7 +265,7 @@ func HashEdges(es []graph.Edge) [2]uint64 {
 	a := uint64(14695981039346656037)
 	b := uint64(0xcbf29ce484222325 ^ 0x9e3779b97f4a7c15)
 	for _, e := range es {
-		x := uint64(uint32(e.U))<<32 | uint64(uint32(e.W))
+		x := edgeWord(e)
 		a = (a ^ x) * 1099511628211
 		b = (b ^ x) * 0x100000001b3
 		b ^= b >> 29
@@ -273,14 +273,17 @@ func HashEdges(es []graph.Edge) [2]uint64 {
 	return [2]uint64{a, b}
 }
 
-// sortEdges sorts a small edge list by (U, W): insertion sort below 16
-// elements (the common pattern-size case), pdqsort above.
+// sortEdges sorts an edge list by (U, W) as the packed words U<<32|W —
+// the word HashEdges hashes; vertex ids are non-negative, so unsigned
+// word order is (U, W) order. Below 16 edges (the common pattern size)
+// an insertion sort compares the words in place; longer lists sort the
+// words themselves, packed into a stack buffer up to edgeSortStack edges.
 func sortEdges(es []graph.Edge) {
 	if len(es) < 16 {
 		for i := 1; i < len(es); i++ {
-			e := es[i]
+			e, w := es[i], edgeWord(es[i])
 			j := i
-			for j > 0 && edgeLess(e, es[j-1]) {
+			for j > 0 && w < edgeWord(es[j-1]) {
 				es[j] = es[j-1]
 				j--
 			}
@@ -288,20 +291,25 @@ func sortEdges(es []graph.Edge) {
 		}
 		return
 	}
-	slices.SortFunc(es, func(a, b graph.Edge) int {
-		if a.U != b.U {
-			return int(a.U) - int(b.U)
-		}
-		return int(a.W) - int(b.W)
-	})
+	var stack [edgeSortStack]uint64
+	ws := stack[:0]
+	if len(es) > len(stack) {
+		ws = make([]uint64, 0, len(es))
+	}
+	for _, e := range es {
+		ws = append(ws, edgeWord(e))
+	}
+	slices.Sort(ws)
+	for i, w := range ws {
+		es[i] = graph.Edge{U: graph.V(w >> 32), W: graph.V(uint32(w))}
+	}
 }
 
-func edgeLess(a, b graph.Edge) bool {
-	if a.U != b.U {
-		return a.U < b.U
-	}
-	return a.W < b.W
-}
+// edgeSortStack bounds the edge lists sortEdges sorts without a heap
+// buffer; pattern images are far smaller.
+const edgeSortStack = 256
+
+func edgeWord(e graph.Edge) uint64 { return uint64(uint32(e.U))<<32 | uint64(uint32(e.W)) }
 
 // appendEdges appends p's edges (U < W, lexicographic) to buf without the
 // intermediate allocation of p.Edges().

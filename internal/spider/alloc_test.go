@@ -12,11 +12,11 @@ import (
 
 // TestStarMinerWarmNoAlloc pins the pooled-table contract of Stage I: a
 // warm StarMiner re-mining a host it has seen before must not allocate.
-// Every table — the CSR neighbor-label index, the level-1 triples, the
-// frontier lists, and the output arenas backing the returned stars — is
-// grown once and reused, so any allocation here means a pooled structure
-// regressed to per-run churn (the pre-pooling behavior was ~25k
-// allocs/run on this host).
+// Every table — the CSR neighbor-label index, the root stars and head
+// buffers, the frontier lists, and the output arenas backing the
+// returned stars — is grown once and reused, so any allocation here means
+// a pooled structure regressed to per-run churn (the pre-pooling behavior
+// was ~25k allocs/run on this host).
 func TestStarMinerWarmNoAlloc(t *testing.T) {
 	g, _ := gen.Synthetic(gen.GIDConfig(1, 1))
 	ctx := context.Background()

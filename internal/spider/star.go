@@ -97,10 +97,11 @@ type Options struct {
 	// (0 = unlimited); scale-free graphs can produce millions (Fig. 17).
 	MaxSpiders int
 	// Workers parallelizes Stage I: 0/1 sequential, > 1 that many
-	// goroutines, < 0 GOMAXPROCS. The level-1 scan partitions head
-	// vertices across workers (contiguous chunks merged in chunk order)
-	// and level expansion shards parent stars (outputs reduced in frontier
-	// order), so the mined spider list is identical across settings.
+	// goroutines, < 0 GOMAXPROCS. The neighbor-label table is built over
+	// contiguous vertex chunks, and every level — level 1 included, as the
+	// expansion of one leafless root star per head label — shards parent
+	// stars with outputs reduced in frontier order, so the mined spider
+	// list is identical across settings.
 	Workers int
 }
 
@@ -119,10 +120,11 @@ func MineStars(g *graph.Graph, opt Options) []*MinedStar {
 
 // MineStarsContext enumerates all frequent stars of g level-wise.
 //
-// Level 1 counts single-leaf stars from the edge list. Level k+1 extends
-// each frequent star by one leaf label >= its last leaf (canonical
-// generation order, no duplicates), re-verifying hosts. Hosts are carried
-// level to level so each extension only scans its parent's host list.
+// Level k+1 extends each frequent star by one leaf label >= its last leaf
+// (canonical generation order, no duplicates), re-verifying hosts; level 1
+// is the same extension applied to one leafless root star per head label,
+// hosted by that label's vertices. Hosts are carried level to level so
+// each extension only scans its parent's host list.
 //
 // Cancellation is observed between levels and inside each level's sharded
 // expansion; on ctx expiry the stars of every *completed* level are

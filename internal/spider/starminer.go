@@ -24,9 +24,10 @@ import (
 //
 //   - nbrOff/nbrFlat: CSR-shaped per-vertex sorted neighbor-label table
 //     (was [][]graph.Label of per-chunk carved slices);
-//   - level 1: flat (head, leaf, host) triples built per chunk,
-//     concatenated in chunk order and sorted by the total order
-//     (head, leaf, host) — the exact frontier the map+sort path built;
+//   - roots: one leafless star per head label carried by at least σ
+//     vertices, its hosts that label's vertices ascending — grouped by a
+//     stable radix pass over the labels, no comparator sort. Level 1 is
+//     expand of these empty stars, so there is no separate level-1 path;
 //   - expansion: per-worker starScratch ((label, host) key buffer plus
 //     the output arenas), with per-item output spans concatenated in
 //     frontier order, so results stay bit-identical for any worker count.
@@ -34,8 +35,8 @@ type StarMiner struct {
 	nbrFlat []graph.Label
 	nbrOff  []int32
 
-	triples      []pairTriple
-	chunkTriples [][]pairTriple
+	roots           []MinedStar
+	heads, headsTmp []graph.V
 
 	all, frontier, next []*MinedStar
 	spans               []expandSpan
@@ -52,25 +53,7 @@ type StarMiner struct {
 	curFrontier []*MinedStar
 	curScrs     []*starScratch
 	csrFn       func(worker, item int)
-	l1Fn        func(worker, item int)
 	expFn       func(worker, item int)
-}
-
-// pairTriple is one level-1 observation: head vertex v (labeled head) has
-// at least one neighbor labeled leaf.
-type pairTriple struct {
-	head, leaf graph.Label
-	v          graph.V
-}
-
-func cmpTriple(a, b pairTriple) int {
-	if a.head != b.head {
-		return int(a.head) - int(b.head)
-	}
-	if a.leaf != b.leaf {
-		return int(a.leaf) - int(b.leaf)
-	}
-	return int(a.v) - int(b.v)
 }
 
 // expandSpan records which worker's output buffer holds one frontier
@@ -93,12 +76,16 @@ type starScratch struct {
 	stars     arena[MinedStar]
 }
 
+// labelBits maps a label to a uint32 whose unsigned order is the labels'
+// signed order: flipping the sign bit keeps negative labels below
+// non-negative ones.
+func labelBits(l graph.Label) uint32 { return uint32(l) ^ 1<<31 }
+
 // extKey packs one extension observation of expand — host v has room
 // for one more leaf labeled l — into a key whose unsigned order is
-// (label, host) order; flipping the sign bit keeps negative labels below
-// non-negative ones.
+// (label, host) order.
 func extKey(l graph.Label, v graph.V) uint64 {
-	return uint64(uint32(l)^1<<31)<<32 | uint64(uint32(v))
+	return uint64(labelBits(l))<<32 | uint64(uint32(v))
 }
 
 func extLabel(k uint64) graph.Label { return graph.Label(int32(uint32(k>>32) ^ 1<<31)) }
@@ -157,6 +144,58 @@ func growI32(b []int32, n int) []int32 {
 	return b[:n]
 }
 
+// buildRoots sets sm.roots to the leafless star of every head label that
+// at least sigma vertices carry, labels ascending, each with that label's
+// vertices ascending as hosts. The grouping is a stable LSD radix sort of
+// the vertex ids on labelBits, skipping the bytes on which every label
+// agrees, so labels in 0..255 cost one counting pass.
+func (sm *StarMiner) buildRoots(g *graph.Graph, sigma int) {
+	labels := g.Labels()
+	n := len(labels)
+	heads := growI32(sm.heads, n)
+	tmp := growI32(sm.headsTmp, n)
+	var vary uint32
+	for v, l := range labels {
+		heads[v] = graph.V(v)
+		vary |= uint32(l ^ labels[0]) // the bits labelBits can differ in
+	}
+	for shift := 0; shift < 32; shift += 8 {
+		if vary>>shift&0xff == 0 {
+			continue
+		}
+		var pos [256]int32
+		for _, v := range heads {
+			pos[labelBits(labels[v])>>shift&0xff]++
+		}
+		sum := int32(0)
+		for b, c := range pos {
+			pos[b] = sum
+			sum += c
+		}
+		for _, v := range heads {
+			b := labelBits(labels[v]) >> shift & 0xff
+			tmp[pos[b]] = v
+			pos[b]++
+		}
+		heads, tmp = tmp, heads
+	}
+	sm.heads, sm.headsTmp = heads, tmp
+
+	roots := sm.roots[:0]
+	for i := 0; i < n; {
+		l := labels[heads[i]]
+		j := i + 1
+		for j < n && labels[heads[j]] == l {
+			j++
+		}
+		if j-i >= sigma {
+			roots = append(roots, MinedStar{Star: Star{Head: l}, Hosts: heads[i:j:j]})
+		}
+		i = j
+	}
+	sm.roots = roots
+}
+
 func (sm *StarMiner) nbrLabels(v graph.V) []graph.Label {
 	return sm.nbrFlat[sm.nbrOff[v]:sm.nbrOff[v+1]]
 }
@@ -210,65 +249,21 @@ func (sm *StarMiner) Mine(ctx context.Context, g *graph.Graph, opt Options) ([]*
 		return nil, err
 	}
 
-	// Level 1: flat (head, leaf, host) triples per chunk, concatenated in
-	// chunk order, then sorted by the total order — same frontier as the
-	// historical per-chunk hash tables merged and sorted, without the maps.
-	for len(sm.chunkTriples) < len(chunks) {
-		sm.chunkTriples = append(sm.chunkTriples, nil)
-	}
-	if sm.l1Fn == nil {
-		sm.l1Fn = func(_, ci int) {
-			g, c := sm.curG, sm.chunks[ci]
-			buf := sm.chunkTriples[ci][:0]
-			for v := c[0]; v < c[1]; v++ {
-				hl := g.Label(graph.V(v))
-				ls := sm.nbrLabels(graph.V(v))
-				for i, l := range ls {
-					if i > 0 && l == ls[i-1] {
-						continue
-					}
-					buf = append(buf, pairTriple{head: hl, leaf: l, v: graph.V(v)})
-				}
-			}
-			sm.chunkTriples[ci] = buf
-		}
-	}
-	if err := par.Do(ctx, len(chunks), len(chunks), sm.l1Fn); err != nil {
-		return nil, err
-	}
-	triples := sm.triples[:0]
-	for ci := range chunks {
-		triples = append(triples, sm.chunkTriples[ci]...)
-	}
-	slices.SortFunc(triples, cmpTriple)
-	sm.triples = triples
-
-	// Frequent single-leaf stars: one group per (head, leaf) run; hosts
-	// come out ascending because triples are sorted.
-	s0 := sm.ws.For(1)[0]
+	// Level 1 is the expansion of the leafless root stars: roots come in
+	// ascending head label order and expand emits leaf labels ascending,
+	// so the level is already in (head, leaf) order.
+	sm.buildRoots(g, sigma)
 	frontier := sm.frontier[:0]
-	for i := 0; i < len(triples); {
-		j := i + 1
-		for j < len(triples) && triples[j].head == triples[i].head && triples[j].leaf == triples[i].leaf {
-			j++
-		}
-		if j-i >= sigma {
-			hosts := s0.hostArena.alloc(j - i)
-			for k := i; k < j; k++ {
-				hosts[k-i] = triples[k].v
-			}
-			leaves := s0.leafArena.alloc(1)
-			leaves[0] = triples[i].leaf
-			ms := &s0.stars.alloc(1)[0]
-			*ms = MinedStar{Star: Star{Head: triples[i].head, Leaves: leaves}, Hosts: hosts}
-			frontier = append(frontier, ms)
-		}
-		i = j
+	for i := range sm.roots {
+		frontier = append(frontier, &sm.roots[i])
 	}
 	sm.frontier = frontier
-
-	all := append(sm.all[:0], frontier...)
-	cur, spare := frontier, sm.next
+	level1, err := sm.expandLevel(ctx, g, frontier, sigma, opt.Workers, sm.next[:0])
+	if err != nil {
+		return nil, err
+	}
+	all := append(sm.all[:0], level1...)
+	cur, spare := level1, frontier
 	for level := 1; level < maxLeaves && len(cur) > 0; level++ {
 		if opt.MaxSpiders > 0 && len(all) >= opt.MaxSpiders {
 			break
@@ -331,24 +326,31 @@ func (sm *StarMiner) expandLevel(ctx context.Context, g *graph.Graph, frontier [
 // expand appends to s.out every frequent one-leaf extension of ms whose
 // new leaf label is >= the star's last leaf (canonical generation order),
 // labels ascending, each with its hosts ascending. One pass over each
-// host's sorted neighbor labels, from the last leaf label on, emits a
-// (label, host) key for every label run long enough to hold one more
-// leaf of that label: 1, or 1 + last's multiplicity among the leaves when
-// the label is last (every other candidate label exceeds all leaves).
-// Sorting the keys orders them by label, and within a label by host —
-// the order the ascending ms.Hosts emitted them in, so this is the stable
-// label sort — and cuts them into per-label host lists.
+// host's sorted neighbor labels, from the last leaf label on (from the
+// start for a leafless root), emits a (label, host) key for every label
+// run long enough to hold one more leaf of that label: 1, or 1 + last's
+// multiplicity among the leaves when the label is last (every other
+// candidate label exceeds all leaves). Sorting the keys orders them by
+// label, and within a label by host — the order the ascending ms.Hosts
+// emitted them in, so this is the stable label sort — and cuts them into
+// per-label host lists.
 func (sm *StarMiner) expand(g *graph.Graph, ms *MinedStar, sigma int, s *starScratch) {
 	leaves := ms.Star.Leaves
-	last := leaves[len(leaves)-1]
+	var last graph.Label
 	needLast := 1
-	for i := len(leaves) - 1; i >= 0 && leaves[i] == last; i-- {
-		needLast++
+	if len(leaves) > 0 {
+		last = leaves[len(leaves)-1]
+		for i := len(leaves) - 1; i >= 0 && leaves[i] == last; i-- {
+			needLast++
+		}
 	}
 	keys := s.keys[:0]
 	for _, v := range ms.Hosts {
 		ls := sm.nbrLabels(v)
-		i, _ := slices.BinarySearch(ls, last)
+		i := 0
+		if len(leaves) > 0 {
+			i, _ = slices.BinarySearch(ls, last)
+		}
 		for i < len(ls) {
 			l := ls[i]
 			j := i + 1

@@ -98,14 +98,27 @@ func repeatedLabelGraph(n, labels, hubs int, rng *rand.Rand) *graph.Graph {
 			b.AddEdge(hub, graph.V(rng.Intn(n)))
 		}
 	}
+	// For each σ the differential test uses, a head label carried by
+	// exactly σ vertices that share one leaf label: its single-leaf star
+	// sits exactly at the support threshold.
+	for _, s := range diffSigmas {
+		anchor := b.AddVertex(graph.Label(20 + s))
+		for i := 0; i < s; i++ {
+			b.AddEdge(anchor, b.AddVertex(graph.Label(10+s)))
+		}
+	}
 	return b.Build()
 }
+
+// diffSigmas are the support thresholds TestStarMinerMatchesReference
+// sweeps.
+var diffSigmas = []int{1, 2, 3, 5}
 
 // TestStarMinerMatchesReference is the Stage I differential test: the
 // mined star list — heads, leaf multisets, hosts and their order — equals
 // the naive reference over random graphs with repeated leaf labels,
-// several σ, leaf caps and spider caps, at workers 1, 2 and 4, through
-// one reused StarMiner.
+// several σ, leaf caps (1 is a level-1-only catalog) and spider caps, at
+// workers 1, 2 and 4, through one reused StarMiner.
 func TestStarMinerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	graphs := 24
@@ -115,8 +128,8 @@ func TestStarMinerMatchesReference(t *testing.T) {
 	var sm StarMiner
 	for gi := 0; gi < graphs; gi++ {
 		g := repeatedLabelGraph(30+rng.Intn(40), 2+rng.Intn(3), rng.Intn(4), rng)
-		for _, sigma := range []int{1, 2, 3, 5} {
-			for _, maxLeaves := range []int{0, 2, 4} {
+		for _, sigma := range diffSigmas {
+			for _, maxLeaves := range []int{0, 1, 2, 4} {
 				for _, maxSpiders := range []int{0, 40} {
 					want := referenceStars(g, sigma, maxLeaves, maxSpiders)
 					for _, workers := range []int{1, 2, 4} {

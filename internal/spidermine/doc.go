@@ -58,7 +58,8 @@
 //     enough for one more leaf; one sort of the keys (hosts arrive
 //     ascending, so this is the stable label order) cuts them into the
 //     per-label host lists. Output order is labels ascending, hosts
-//     ascending.
+//     ascending. Level 1 is the same expansion of one leafless root star
+//     per head label, so there is no separate level-1 path.
 //   - Merge buckets (tryMerge) are keyed by canonical code: each distinct
 //     union is canonicalised once by the worker's canon.Canonizer
 //     (AppendLabeling) and finds its bucket by exact code bytes. Buckets
@@ -72,11 +73,33 @@
 //     comparisons); the merge canonicalisations fold into
 //     Stats.CanonRun/CanonNodes at each join.
 //
+// # Performance notes: packed keys
+//
+// Every hot sort or dedupe key on these layers is one unsigned word whose
+// integer order is the order the code needs, so sorts are slices.Sort
+// over []uint64 and maps hash eight bytes — no comparator, no struct key:
+//
+//   - Stage I expansion: the (label, host) word of spider.extKey.
+//   - Image hashing (canon.ImageHash, canon.AppendImageKey and the
+//     Matcher's image dedupe): the edge word U<<32|W, the word
+//     canon.HashEdges hashes, so hashes and keys are bit-identical to a
+//     comparator sort of the edges.
+//   - Merge candidates (checkMerges): the word a<<40 | b<<16 | ea<<8 | eb,
+//     which sorts as (a, b, ea, eb); candSeen keys on the word and
+//     pairCount on its pattern-pair prefix.
+//
+// The rule: every packed field has a checked range, so no two keys can
+// alias. Merge pattern indices stay below 2²⁴ (checkMergeKeyRange fails
+// the run with an error past that) and embedding indices below
+// mergeScanEmb = 256 (a compile-time assertion); host vertex ids are
+// non-negative int32s.
+//
 // TestStarMinerMatchesReference (internal/spider) and
 // TestAppendLabelingDifferential (internal/canon) are the differential
 // oracles for the two layers; TestResultFingerprintsPinned (this
 // package) pins whole results, so a merge that reorders embedding
-// vertices fails it.
+// vertices fails it. TestImageHashPackedSort (internal/canon) and
+// TestMergeKeyPacking (this package) pin the packed keys.
 //
 // The allocation budgets are pinned by TestStageIAllocBudget and
 // TestFullPipelineAllocBudget (repo root), the warm 0-alloc contracts by

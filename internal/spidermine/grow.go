@@ -272,15 +272,15 @@ func (m *Miner) extendAt(p *pattern.Pattern, b graph.V, sc *growScratch) bool {
 		sc.counts = counts
 		// Best label: highest embedding count, ties toward the smallest
 		// label (order-independent however the counts list is arranged).
-		var bestLabel graph.Label = -1
-		bestCount := 0
+		// Labels may be negative, so "none yet" is a flag, not a sentinel.
+		var bestLabel graph.Label
+		bestCount, found := 0, false
 		for _, c := range counts {
-			if c.n > bestCount || (c.n == bestCount && bestLabel >= 0 && c.label < bestLabel) {
-				bestCount = c.n
-				bestLabel = c.label
+			if !found || c.n > bestCount || (c.n == bestCount && c.label < bestLabel) {
+				bestCount, bestLabel, found = c.n, c.label, true
 			}
 		}
-		if bestLabel < 0 {
+		if !found {
 			break
 		}
 		// Which embeddings survive if we add bestLabel?

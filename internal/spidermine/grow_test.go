@@ -1,6 +1,7 @@
 package spidermine
 
 import (
+	"cmp"
 	"slices"
 	"testing"
 
@@ -72,6 +73,36 @@ func TestExtendAtAddsMaximalLeafSet(t *testing.T) {
 		if e.U != 0 && e.W != 0 {
 			t.Fatalf("edge %v not incident to the boundary vertex", e)
 		}
+	}
+}
+
+// TestExtendAtNegativeLabels: the LG reader accepts negative labels, so
+// the greedy leaf choice must add them like any other — here every
+// frequent leaf label is below zero, including a repeated one.
+func TestExtendAtNegativeLabels(t *testing.T) {
+	b := graph.NewBuilder(10, 8)
+	for site := 0; site < 2; site++ {
+		h := b.AddVertex(-1)
+		for _, l := range []graph.Label{0, -2, -2, -1} {
+			b.AddEdge(h, b.AddVertex(l))
+		}
+	}
+	m := minerFor(b.Build(), Config{MinSupport: 2, Dmax: 4})
+	pg := graph.FromEdges([]graph.Label{-1, 0}, []graph.Edge{{U: 0, W: 1}})
+	p := pattern.New(pg, []pattern.Embedding{{0, 1}, {5, 6}})
+	p.Origin = 0
+	if !m.extendAt(p, 0, new(growScratch)) {
+		t.Fatal("no extension at a head whose frequent leaf labels are negative")
+	}
+	got := make([]graph.Label, p.NV())
+	for v := range got {
+		got[v] = p.G.Label(graph.V(v))
+	}
+	if want := []graph.Label{-1, 0, -2, -2, -1}; !slices.Equal(got, want) {
+		t.Fatalf("extended pattern labels %v, want %v", got, want)
+	}
+	if len(p.Emb) != 2 {
+		t.Fatalf("embeddings %d, want 2", len(p.Emb))
 	}
 }
 
@@ -177,6 +208,51 @@ func TestCheckMergesNoOverlapNoMerge(t *testing.T) {
 	ws := []*grown{{p: pa, radius: 1}, {p: pb, radius: 1}}
 	if out, _ := m.checkMerges(ws); len(out) != 2 {
 		t.Fatalf("disjoint patterns merged: %d", len(out))
+	}
+}
+
+// TestMergeKeyPacking: packed merge candidates round-trip and sort as
+// (a, b, ea, eb) at the corners of every field, so in-range candidates
+// never share a key and a key's pair prefix names exactly its pattern
+// pair; a working set past the pattern-index bound is refused with an
+// error instead of aliasing pairs.
+func TestMergeKeyPacking(t *testing.T) {
+	corners := func(n int) []int { return []int{0, 1, n/2 - 1, n / 2, n - 2, n - 1} }
+	var tuples [][4]int
+	for _, a := range corners(maxMergePatterns) {
+		for _, b := range corners(maxMergePatterns) {
+			for _, ea := range corners(mergeScanEmb) {
+				for _, eb := range corners(mergeScanEmb) {
+					tuples = append(tuples, [4]int{a, b, ea, eb})
+				}
+			}
+		}
+	}
+	keys := make([]uint64, len(tuples))
+	for i, tp := range tuples {
+		k := packCand(tp[0], tp[1], tp[2], tp[3])
+		a, b := candPair(k)
+		ea, eb := candEmbs(k)
+		if got := [4]int{a, b, ea, eb}; got != tp {
+			t.Fatalf("packCand%v unpacks to %v", tp, got)
+		}
+		keys[i] = k
+	}
+	for i, x := range tuples {
+		for j, y := range tuples {
+			if got, want := cmp.Compare(keys[i], keys[j]), slices.Compare(x[:], y[:]); got != want {
+				t.Fatalf("keys of %v and %v compare %d, tuples %d", x, y, got, want)
+			}
+			if samePair := x[0] == y[0] && x[1] == y[1]; (keys[i]>>candPairShift == keys[j]>>candPairShift) != samePair {
+				t.Fatalf("pair prefixes of %v and %v disagree with their pattern pairs", x, y)
+			}
+		}
+	}
+	if err := checkMergeKeyRange(maxMergePatterns); err != nil {
+		t.Fatalf("working set at the bound refused: %v", err)
+	}
+	if err := checkMergeKeyRange(maxMergePatterns + 1); err == nil {
+		t.Fatal("working set past the merge key bound accepted")
 	}
 }
 

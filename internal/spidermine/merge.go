@@ -2,6 +2,7 @@ package spidermine
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 
 	"repro/internal/canon"
@@ -22,15 +23,16 @@ import (
 // On cancellation checkMerges returns the input set unchanged together
 // with ctx.Err() (merges already applied this round stay on ws's
 // patterns' wrappers only via the returned slice, which the caller then
-// discards in favor of its committed snapshot).
+// discards in favor of its committed snapshot). A working set too large
+// for packed merge keys (checkMergeKeyRange) is returned unchanged with
+// an error.
 func (m *Miner) checkMerges(ws []*grown) ([]*grown, error) {
 	if len(ws) < 2 {
 		return ws, nil
 	}
-	// Overlap detection samples at most mergeScanEmb embeddings per pattern:
-	// merging only needs *one* overlapping pair per site, and the usage
-	// index otherwise grows as patterns × embeddings × pattern size.
-	const mergeScanEmb = 256
+	if err := checkMergeKeyRange(len(ws)); err != nil {
+		return ws, err
+	}
 	// usage is indexed by host vertex id and kept on the Miner across
 	// rounds (checkMerges runs sequentially); only the touched entries are
 	// filled and they are truncated again before the pair scan returns, so
@@ -61,8 +63,8 @@ func (m *Miner) checkMerges(ws []*grown) ([]*grown, error) {
 	// map-of-maps kept (first cap distinct embedding pairs per pattern
 	// pair, in the order the usage scan surfaces them).
 	if m.candSeen == nil {
-		m.candSeen = make(map[mergeCand]struct{})
-		m.pairCount = make(map[pairKey]int)
+		m.candSeen = make(map[uint64]struct{})
+		m.pairCount = make(map[uint64]int)
 	} else {
 		clear(m.candSeen)
 		clear(m.pairCount)
@@ -83,11 +85,11 @@ func (m *Miner) checkMerges(ws []*grown) ([]*grown, error) {
 				if a.w > b.w {
 					a, b = b, a
 				}
-				c := mergeCand{a: int32(a.w), b: int32(b.w), ea: int32(a.emb), eb: int32(b.emb)}
+				c := packCand(a.w, b.w, a.emb, b.emb)
 				if _, dup := m.candSeen[c]; dup {
 					continue
 				}
-				pk := pairKey{a.w, b.w}
+				pk := c >> candPairShift
 				if m.pairCount[pk] >= m.cfg.MergePairCap {
 					continue
 				}
@@ -101,30 +103,19 @@ func (m *Miner) checkMerges(ws []*grown) ([]*grown, error) {
 		m.mergeCands = cands
 		return ws, nil
 	}
-	// Deterministic evaluation order: sort the flat list by
-	// (a, b, ea, eb) and cut it into per-pattern-pair groups — the same
-	// order the historical sorted-keys + per-key sorted-pairs walk
-	// produced.
-	slices.SortFunc(cands, func(x, y mergeCand) int {
-		if x.a != y.a {
-			return int(x.a) - int(y.a)
-		}
-		if x.b != y.b {
-			return int(x.b) - int(y.b)
-		}
-		if x.ea != y.ea {
-			return int(x.ea) - int(y.ea)
-		}
-		return int(x.eb) - int(y.eb)
-	})
+	// Deterministic evaluation order: the packed keys sort as
+	// (a, b, ea, eb) and cut into per-pattern-pair groups — the same order
+	// the historical sorted-keys + per-key sorted-pairs walk produced.
+	slices.Sort(cands)
 	m.mergeCands = cands
 	groups := m.pairGroups[:0]
 	for i := 0; i < len(cands); {
 		j := i + 1
-		for j < len(cands) && cands[j].a == cands[i].a && cands[j].b == cands[i].b {
+		for j < len(cands) && cands[j]>>candPairShift == cands[i]>>candPairShift {
 			j++
 		}
-		groups = append(groups, pairGroup{pk: pairKey{int(cands[i].a), int(cands[i].b)}, lo: int32(i), hi: int32(j)})
+		a, b := candPair(cands[i])
+		groups = append(groups, pairGroup{pk: pairKey{a, b}, lo: int32(i), hi: int32(j)})
 		i = j
 	}
 	m.pairGroups = groups
@@ -189,10 +180,51 @@ type usageSlot struct {
 // indices into ws) during a merge round.
 type pairKey struct{ a, b int }
 
-// mergeCand is one merge candidate: patterns ws[a], ws[b] (a < b) overlap
-// on embeddings Emb[ea], Emb[eb]. The flat sorted candidate list replaces
-// the historical map[pairKey]map[embPair]struct{}.
-type mergeCand struct{ a, b, ea, eb int32 }
+// A merge candidate — patterns ws[a], ws[b] (a < b) overlap on
+// embeddings Emb[ea], Emb[eb] — is the packed key
+// a<<40 | b<<16 | ea<<8 | eb, whose unsigned order is (a, b, ea, eb)
+// order and whose top 48 bits (key >> candPairShift) name the pattern
+// pair. Embedding indices fit their 8 bits because overlap detection
+// samples at most mergeScanEmb embeddings per pattern; pattern indices fit
+// their 24 bits by checkMergeKeyRange.
+const (
+	// mergeScanEmb caps the embeddings per pattern that overlap detection
+	// samples: merging only needs *one* overlapping pair per site, and the
+	// usage index otherwise grows as patterns × embeddings × pattern size.
+	mergeScanEmb  = 256
+	candEmbBits   = 8
+	candPatBits   = 24
+	candPairShift = 2 * candEmbBits
+	// maxMergePatterns is the largest working set whose pattern indices
+	// fit a packed key.
+	maxMergePatterns = 1 << candPatBits
+)
+
+// Compile-time check that every sampled embedding index fits its field.
+const _ uint = 1<<candEmbBits - mergeScanEmb
+
+func packCand(a, b, ea, eb int) uint64 {
+	return uint64(a)<<(candPairShift+candPatBits) | uint64(b)<<candPairShift | uint64(ea)<<candEmbBits | uint64(eb)
+}
+
+// candPair returns the pattern pair (a, b) of a packed candidate.
+func candPair(c uint64) (a, b int) {
+	return int(c >> (candPairShift + candPatBits)), int(c >> candPairShift & (1<<candPatBits - 1))
+}
+
+// candEmbs returns the embedding pair (ea, eb) of a packed candidate.
+func candEmbs(c uint64) (ea, eb int) {
+	return int(c >> candEmbBits & (1<<candEmbBits - 1)), int(c & (1<<candEmbBits - 1))
+}
+
+// checkMergeKeyRange rejects a working set too large for packed merge
+// keys, which would otherwise alias distinct pattern pairs.
+func checkMergeKeyRange(patterns int) error {
+	if patterns > maxMergePatterns {
+		return fmt.Errorf("spidermine: %d working patterns exceed the merge index bound of %d", patterns, maxMergePatterns)
+	}
+	return nil
+}
 
 // pairGroup is one pattern pair's contiguous run of candidates in the
 // sorted mergeCands list.
@@ -250,7 +282,7 @@ type mergeScratch struct {
 // mutable state to sc, so merge rounds may evaluate many pairs
 // concurrently; isoRun is the caller-owned (per-worker when parallel)
 // counter of those fallback MapInto calls.
-func (m *Miner) tryMerge(pa, pb *pattern.Pattern, eps []mergeCand, sc *mergeScratch, isoRun *int64) *pattern.Pattern {
+func (m *Miner) tryMerge(pa, pb *pattern.Pattern, eps []uint64, sc *mergeScratch, isoRun *int64) *pattern.Pattern {
 	if sc.seenUnions == nil {
 		sc.seenUnions = make(map[[2]uint64]struct{})
 	} else {
@@ -260,8 +292,8 @@ func (m *Miner) tryMerge(pa, pb *pattern.Pattern, eps []mergeCand, sc *mergeScra
 	// leftovers from earlier calls.
 	used := 0
 
-	for _, pr := range eps {
-		ea, eb := int(pr.ea), int(pr.eb)
+	for _, c := range eps {
+		ea, eb := candEmbs(c)
 		if ea >= len(pa.Emb) || eb >= len(pb.Emb) {
 			continue
 		}

@@ -244,9 +244,9 @@ type Miner struct {
 	// Pooled checkMerges round state: candidate (pair, embedding-pair)
 	// entries, their dedupe set and per-pair cap counters, the touched
 	// host-vertex list, and the group table handed to the evaluators.
-	mergeCands []mergeCand
-	candSeen   map[mergeCand]struct{}
-	pairCount  map[pairKey]int
+	mergeCands []uint64 // packed keys, see packCand
+	candSeen   map[uint64]struct{}
+	pairCount  map[uint64]int
 	touched    []graph.V
 	pairGroups []pairGroup
 	consumed   par.Slots[bool]
