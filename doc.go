@@ -216,8 +216,11 @@
 //     distinct-image sets.
 //   - Growth and merging (internal/spidermine) reuse pooled scratch:
 //     epoch-stamped host marks instead of per-embedding maps, hash-deduped
-//     union subgraphs, early-exit diameter checks (graph.DiameterAtMost),
-//     and pooled BFS buffers for all eccentricity work.
+//     union subgraphs built through an epoch-stamped host-vertex table
+//     (graph.SubgraphOfEdgesInto), one bit-parallel "connected and
+//     diameter ≤ Dmax" check per union or grown pattern
+//     (graph.ConnectedWithin, a 64-source MS-BFS), and pooled BFS buffers
+//     for all eccentricity work.
 //
 // # Pattern identity
 //

@@ -251,11 +251,12 @@ func TestMatcherZeroAllocs(t *testing.T) {
 // TestImageHashPackedSort pins ImageHash and AppendImageKey, which sort
 // image edges as packed words, against a comparator sort of the same
 // edges: random edge lists of 0–600 edges cover the insertion-sort cut
-// and both sides of the stack-buffer bound, and host ids up to 2³¹−1
+// and both sides of graph.SortEdges' 256-word stack-buffer bound, and
+// host ids up to 2³¹−1
 // cover the high bit of each packed half.
 func TestImageHashPackedSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	sizes := []int{0, 1, 2, 15, 16, 17, edgeSortStack - 1, edgeSortStack, edgeSortStack + 1, 599, 600}
+	sizes := []int{0, 1, 2, 15, 16, 17, 255, 256, 257, 599, 600}
 	for i := 0; i < 40; i++ {
 		sizes = append(sizes, rng.Intn(601))
 	}

@@ -1,7 +1,6 @@
 package canon
 
 import (
-	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -251,7 +250,7 @@ func (mt *Matcher) imageHash() [2]uint64 {
 	for _, e := range mt.pEdges {
 		mt.imgBuf = append(mt.imgBuf, graph.NormEdge(mt.mapping[e.U], mt.mapping[e.W]))
 	}
-	sortEdges(mt.imgBuf)
+	graph.SortEdges(mt.imgBuf)
 	return HashEdges(mt.imgBuf)
 }
 
@@ -265,51 +264,13 @@ func HashEdges(es []graph.Edge) [2]uint64 {
 	a := uint64(14695981039346656037)
 	b := uint64(0xcbf29ce484222325 ^ 0x9e3779b97f4a7c15)
 	for _, e := range es {
-		x := edgeWord(e)
+		x := graph.EdgeWord(e)
 		a = (a ^ x) * 1099511628211
 		b = (b ^ x) * 0x100000001b3
 		b ^= b >> 29
 	}
 	return [2]uint64{a, b}
 }
-
-// sortEdges sorts an edge list by (U, W) as the packed words U<<32|W —
-// the word HashEdges hashes; vertex ids are non-negative, so unsigned
-// word order is (U, W) order. Below 16 edges (the common pattern size)
-// an insertion sort compares the words in place; longer lists sort the
-// words themselves, packed into a stack buffer up to edgeSortStack edges.
-func sortEdges(es []graph.Edge) {
-	if len(es) < 16 {
-		for i := 1; i < len(es); i++ {
-			e, w := es[i], edgeWord(es[i])
-			j := i
-			for j > 0 && w < edgeWord(es[j-1]) {
-				es[j] = es[j-1]
-				j--
-			}
-			es[j] = e
-		}
-		return
-	}
-	var stack [edgeSortStack]uint64
-	ws := stack[:0]
-	if len(es) > len(stack) {
-		ws = make([]uint64, 0, len(es))
-	}
-	for _, e := range es {
-		ws = append(ws, edgeWord(e))
-	}
-	slices.Sort(ws)
-	for i, w := range ws {
-		es[i] = graph.Edge{U: graph.V(w >> 32), W: graph.V(uint32(w))}
-	}
-}
-
-// edgeSortStack bounds the edge lists sortEdges sorts without a heap
-// buffer; pattern images are far smaller.
-const edgeSortStack = 256
-
-func edgeWord(e graph.Edge) uint64 { return uint64(uint32(e.U))<<32 | uint64(uint32(e.W)) }
 
 // appendEdges appends p's edges (U < W, lexicographic) to buf without the
 // intermediate allocation of p.Edges().

@@ -91,8 +91,11 @@ func DecodeBinary(data []byte) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Each label costs at least one byte and each edge at least two, so
+	// dimensions the remaining input cannot hold are corrupt — reject them
+	// before the Builder pre-allocates for them.
 	const maxGraphDim = 1 << 31
-	if n64 > maxGraphDim || m64 > maxGraphDim {
+	if n64 > maxGraphDim || m64 > maxGraphDim || n64+2*m64 > uint64(len(p)) {
 		return nil, fmt.Errorf("%w: implausible dimensions n=%d m=%d", ErrBadCodec, n64, m64)
 	}
 	n, m := int(n64), int(m64)

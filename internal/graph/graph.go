@@ -343,3 +343,11 @@ func FromEdges(labels []Label, edges []Edge) *Graph {
 	}
 	return b.Build()
 }
+
+// cmpEdge orders edges by (U, W) for Build's in-place sort.
+func cmpEdge(a, b Edge) int {
+	if a.U != b.U {
+		return int(a.U) - int(b.U)
+	}
+	return int(a.W) - int(b.W)
+}

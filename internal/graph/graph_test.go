@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -210,18 +212,6 @@ func TestRadiusFrom(t *testing.T) {
 	}
 }
 
-func TestEffectiveDiameter(t *testing.T) {
-	p := buildPath(0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-	full := p.Diameter()
-	eff := p.EffectiveDiameter(0.9, 0)
-	if eff > full {
-		t.Fatalf("effective diameter %d exceeds diameter %d", eff, full)
-	}
-	if eff < 1 {
-		t.Fatalf("effective diameter %d too small", eff)
-	}
-}
-
 func TestInduced(t *testing.T) {
 	g := buildCycle(5, 7)
 	sub, orig := g.Induced([]V{0, 1, 2})
@@ -242,12 +232,69 @@ func TestInduced(t *testing.T) {
 
 func TestSubgraphOfEdges(t *testing.T) {
 	g := buildCycle(5, 1)
-	sub, orig := g.SubgraphOfEdges([]Edge{{0, 1}, {1, 2}})
+	var sc SubgraphScratch
+	sub, orig := g.SubgraphOfEdgesInto([]Edge{{0, 1}, {1, 2}}, &sc)
 	if sub.N() != 3 || sub.M() != 2 {
 		t.Fatalf("subgraph: n=%d m=%d", sub.N(), sub.M())
 	}
 	if len(orig) != 3 {
 		t.Fatalf("mapping length %d", len(orig))
+	}
+}
+
+// TestSubgraphOfEdgesIntoDifferential checks the epoch-table subgraph
+// build against a direct construction (sorted distinct endpoints, edges
+// mapped by binary search) on random edge lists, reusing one scratch
+// across calls and across a smaller and a larger host, so stale table
+// entries from earlier calls must never leak into a later mapping.
+func TestSubgraphOfEdgesIntoDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var sc SubgraphScratch
+	for iter := 0; iter < 300; iter++ {
+		n := 2 + rng.Intn(200)
+		if iter%50 == 0 {
+			n = 2 + rng.Intn(5) // a smaller host between larger ones
+		}
+		b := NewBuilder(n, 0)
+		for v := 0; v < n; v++ {
+			b.AddVertex(Label(rng.Intn(7) - 3))
+		}
+		g := b.Build()
+		var edges []Edge
+		for i := rng.Intn(3 * n); i > 0; i-- {
+			u, w := V(rng.Intn(n)), V(rng.Intn(n))
+			if u != w {
+				edges = append(edges, Edge{u, w})
+			}
+		}
+		var verts []V
+		for _, e := range edges {
+			verts = append(verts, e.U, e.W)
+		}
+		slices.Sort(verts)
+		verts = slices.Compact(verts)
+		wb := NewBuilder(len(verts), len(edges))
+		for _, v := range verts {
+			wb.AddVertex(g.Label(v))
+		}
+		for _, e := range edges {
+			u, _ := slices.BinarySearch(verts, e.U)
+			w, _ := slices.BinarySearch(verts, e.W)
+			wb.AddEdge(V(u), V(w))
+		}
+		want := wb.Build()
+		got, orig := g.SubgraphOfEdgesInto(edges, &sc)
+		if !slices.Equal(orig, verts) {
+			t.Fatalf("iter %d: mapping %v, want %v", iter, orig, verts)
+		}
+		if !slices.Equal(got.Edges(), want.Edges()) || got.N() != want.N() {
+			t.Fatalf("iter %d: edges %v, want %v", iter, got.Edges(), want.Edges())
+		}
+		for v := 0; v < got.N(); v++ {
+			if got.Label(V(v)) != want.Label(V(v)) {
+				t.Fatalf("iter %d: label of %d is %d, want %d", iter, v, got.Label(V(v)), want.Label(V(v)))
+			}
+		}
 	}
 }
 
@@ -271,9 +318,103 @@ func TestNeighborhood(t *testing.T) {
 func TestUnionEdges(t *testing.T) {
 	a := []Edge{{0, 1}, {1, 2}}
 	b := []Edge{{2, 1}, {3, 4}}
-	u := UnionEdges(a, b)
+	u := AppendUnionEdges(nil, a, b)
 	if len(u) != 3 {
 		t.Fatalf("union size %d, want 3 (reversed duplicate must collapse)", len(u))
+	}
+	// Random unions against a set-and-comparator oracle, with sizes across
+	// SortEdges' insertion-sort cut and its stack-buffer bound, ids up to
+	// 2³¹−1, and a non-empty dst prefix that must stay untouched.
+	rng := rand.New(rand.NewSource(9))
+	for _, size := range []int{0, 1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257, 300} {
+		var a, b []Edge
+		for i := 0; i < size; i++ {
+			e := Edge{V(rng.Intn(40)), V(rng.Intn(40))}
+			if rng.Intn(3) == 0 {
+				e = Edge{math.MaxInt32 - e.U, e.W}
+			}
+			if i%2 == 0 {
+				a = append(a, e)
+			} else {
+				b = append(b, e)
+			}
+		}
+		set := map[Edge]bool{}
+		for _, e := range append(slices.Clone(a), b...) {
+			set[NormEdge(e.U, e.W)] = true
+		}
+		var want []Edge
+		for e := range set {
+			want = append(want, e)
+		}
+		slices.SortFunc(want, cmpEdge)
+		prefix := []Edge{{7, 3}}
+		got := AppendUnionEdges(slices.Clone(prefix), a, b)
+		if got[0] != prefix[0] || !slices.Equal(got[1:], want) {
+			t.Fatalf("size %d: union %v, want %v", size, got[1:], want)
+		}
+	}
+}
+
+// TestConnectedWithinDifferential checks the bit-parallel check against
+// IsConnected() && Diameter() <= d on random graphs of 0–300 vertices —
+// past the 64-source block edges — including disconnected ones, for every
+// d from 0 to 12.
+func TestConnectedWithinDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	sizes := []int{0, 1, 2, 3, 63, 64, 65, 127, 128, 129, 300}
+	for i := 0; i < 150; i++ {
+		sizes = append(sizes, rng.Intn(301))
+	}
+	var outcomes [4]int // within d, connected but wider, disconnected, within d past one block
+	for gi, n := range sizes {
+		// A random forest: vertex i hangs off one of the previous `span`
+		// vertices (a small span gives long paths, a large one shallow
+		// trees), a few roots split components, and chords shorten paths.
+		span := 1 + rng.Intn(max(n, 1))
+		split := rng.Intn(4) == 0
+		b := NewBuilder(n, 2*n)
+		for v := 0; v < n; v++ {
+			b.AddVertex(0)
+			if v > 0 && !(split && rng.Intn(40) == 0) {
+				b.AddEdge(V(v), V(v-1-rng.Intn(min(span, v))))
+			}
+		}
+		chords := n/4 + 1
+		if rng.Intn(2) == 0 {
+			chords = 2*n + 1 // dense enough for small diameters past one block
+		}
+		for c := rng.Intn(chords); c > 0; c-- {
+			u, w := V(rng.Intn(n)), V(rng.Intn(n))
+			if u != w {
+				b.AddEdge(u, w)
+			}
+		}
+		g := b.Build()
+		conn, diam := g.IsConnected(), g.Diameter()
+		for d := 0; d <= 12; d++ {
+			want := conn && diam <= d
+			switch {
+			case want && n > 64:
+				outcomes[3]++
+			case want:
+				outcomes[0]++
+			case conn:
+				outcomes[1]++
+			default:
+				outcomes[2]++
+			}
+			if got := g.ConnectedWithin(d); got != want {
+				t.Fatalf("graph %d (n=%d, connected=%v, diameter=%d): ConnectedWithin(%d) = %v, want %v",
+					gi, n, conn, diam, d, got, want)
+			}
+		}
+	}
+	t.Logf("within d / connected but wider / disconnected / within d past one block: %v", outcomes)
+	for i, c := range outcomes {
+		if c < 50 {
+			t.Fatalf("outcome class %d seen only %d times; the generator no longer covers it", i, c)
+		}
 	}
 }
 

@@ -31,28 +31,6 @@ func (g *Graph) Induced(vertices []V) (*Graph, []V) {
 	return b.Build(), uniq
 }
 
-// SubgraphOfEdges builds the subgraph of g containing exactly the given
-// edges (in original vertex ids) and their endpoints. Returns the subgraph
-// and the new→original vertex mapping.
-func (g *Graph) SubgraphOfEdges(edges []Edge) (*Graph, []V) {
-	verts := make([]V, 0, 2*len(edges))
-	for _, e := range edges {
-		verts = append(verts, e.U, e.W)
-	}
-	slices.Sort(verts)
-	verts = slices.Compact(verts)
-	b := NewBuilder(len(verts), len(edges))
-	for _, v := range verts {
-		b.AddVertex(g.Label(v))
-	}
-	for _, e := range edges {
-		u, _ := slices.BinarySearch(verts, e.U)
-		w, _ := slices.BinarySearch(verts, e.W)
-		b.AddEdge(V(u), V(w))
-	}
-	return b.Build(), verts
-}
-
 // Neighborhood returns the subgraph induced by all vertices within distance
 // r of v, plus the new→original mapping; the image of v is always new
 // vertex index findable via the mapping.
@@ -65,40 +43,70 @@ func (g *Graph) Neighborhood(v V, r int) (*Graph, []V) {
 	return g.Induced(verts)
 }
 
-// SubgraphOfEdgesInto is SubgraphOfEdges over caller-owned scratch: verts
-// (reused, returned grown) collects the endpoint set and b builds the
-// subgraph (Reset internally). The returned vertex slice aliases the
-// scratch — callers that retain the mapping must copy it; the Graph itself
-// is freshly built and independent.
-func (g *Graph) SubgraphOfEdgesInto(edges []Edge, verts []V, b *Builder) (*Graph, []V) {
-	verts = verts[:0]
+// SubgraphScratch is the reusable state of SubgraphOfEdgesInto: the
+// endpoint list, a host-indexed epoch-stamped table of local vertex ids,
+// and the builder. The zero value is ready to use; one scratch serves one
+// goroutine at a time.
+type SubgraphScratch struct {
+	verts []V
+	local []localID
+	epoch uint32
+	b     Builder
+}
+
+// localID is one host vertex's slot in SubgraphScratch.local: id is its
+// subgraph vertex when epoch matches the current call.
+type localID struct {
+	epoch uint32
+	id    V
+}
+
+// SubgraphOfEdgesInto builds the subgraph of g containing exactly the
+// given edges (in g's vertex ids) and their endpoints, and returns it with
+// the new→original vertex mapping. New ids follow ascending original id,
+// so the mapping is deterministic whatever the edge order. Endpoints are
+// deduplicated through sc's host-indexed table, so only the distinct
+// vertices are sorted and each edge endpoint maps in O(1). The returned
+// mapping aliases sc — callers that retain it must copy it; the Graph is
+// freshly built and independent.
+func (g *Graph) SubgraphOfEdgesInto(edges []Edge, sc *SubgraphScratch) (*Graph, []V) {
+	if len(sc.local) < g.N() {
+		sc.local = make([]localID, g.N())
+		sc.epoch = 0
+	}
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: stale stamps could alias the new epoch
+		clear(sc.local)
+		sc.epoch = 1
+	}
+	ep, local := sc.epoch, sc.local
+	verts := sc.verts[:0]
 	for _, e := range edges {
-		verts = append(verts, e.U, e.W)
+		if local[e.U].epoch != ep {
+			local[e.U].epoch = ep
+			verts = append(verts, e.U)
+		}
+		if local[e.W].epoch != ep {
+			local[e.W].epoch = ep
+			verts = append(verts, e.W)
+		}
 	}
 	slices.Sort(verts)
-	verts = slices.Compact(verts)
-	b.Reset(len(verts), len(edges))
-	for _, v := range verts {
-		b.AddVertex(g.Label(v))
+	sc.verts = verts
+	sc.b.Reset(len(verts), len(edges))
+	for i, v := range verts {
+		local[v].id = V(i)
+		sc.b.AddVertex(g.Label(v))
 	}
 	for _, e := range edges {
-		u, _ := slices.BinarySearch(verts, e.U)
-		w, _ := slices.BinarySearch(verts, e.W)
-		b.AddEdge(V(u), V(w))
+		sc.b.AddEdge(local[e.U].id, local[e.W].id)
 	}
-	return b.Build(), verts
+	return sc.b.Build(), verts
 }
 
-// Union returns the union graph of two subgraph vertex/edge sets drawn from
-// the same host graph, expressed as host edges; endpoints are implied.
-// Used when merging overlapping pattern embeddings.
-func UnionEdges(a, b []Edge) []Edge {
-	return AppendUnionEdges(make([]Edge, 0, len(a)+len(b)), a, b)
-}
-
-// AppendUnionEdges is UnionEdges into caller-owned scratch: the normalized,
-// sorted, deduplicated union of a and b is appended to dst (usually
-// dst[:0] of a reused buffer) and returned.
+// AppendUnionEdges appends the normalized, sorted, deduplicated union of
+// the host edge lists a and b to dst (usually dst[:0] of a reused buffer)
+// and returns it. Used when merging overlapping pattern embeddings.
 func AppendUnionEdges(dst []Edge, a, b []Edge) []Edge {
 	base := len(dst)
 	for _, e := range a {
@@ -108,13 +116,41 @@ func AppendUnionEdges(dst []Edge, a, b []Edge) []Edge {
 		dst = append(dst, NormEdge(e.U, e.W))
 	}
 	out := dst[base:]
-	slices.SortFunc(out, cmpEdge)
+	SortEdges(out)
 	return dst[:base+len(slices.Compact(out))]
 }
 
-func cmpEdge(a, b Edge) int {
-	if a.U != b.U {
-		return int(a.U) - int(b.U)
+// SortEdges sorts an edge list by (U, W) as the packed words EdgeWord
+// returns; vertex ids are non-negative, so unsigned word order is (U, W)
+// order. Below 16 edges (the common pattern size) an insertion sort
+// compares the words in place; longer lists sort the words themselves,
+// packed into a stack buffer up to 256 edges.
+func SortEdges(es []Edge) {
+	if len(es) < 16 {
+		for i := 1; i < len(es); i++ {
+			e, w := es[i], EdgeWord(es[i])
+			j := i
+			for j > 0 && w < EdgeWord(es[j-1]) {
+				es[j] = es[j-1]
+				j--
+			}
+			es[j] = e
+		}
+		return
 	}
-	return int(a.W) - int(b.W)
+	var stack [256]uint64
+	ws := stack[:0]
+	if len(es) > len(stack) {
+		ws = make([]uint64, 0, len(es))
+	}
+	for _, e := range es {
+		ws = append(ws, EdgeWord(e))
+	}
+	slices.Sort(ws)
+	for i, w := range ws {
+		es[i] = Edge{U: V(w >> 32), W: V(uint32(w))}
+	}
 }
+
+// EdgeWord packs an edge as U<<32|W.
+func EdgeWord(e Edge) uint64 { return uint64(uint32(e.U))<<32 | uint64(uint32(e.W)) }

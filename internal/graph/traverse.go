@@ -120,8 +120,7 @@ func (g *Graph) Eccentricity(v V) int {
 // Diameter returns the diameter of the graph: the maximum eccentricity over
 // all vertices. Disconnected graphs report the maximum diameter over
 // components (distances across components are ignored). O(N·(N+M)); meant
-// for patterns and test graphs, not massive inputs — use
-// EffectiveDiameter for those.
+// for patterns and test graphs, not massive inputs.
 func (g *Graph) Diameter() int {
 	s := bfsPool.Get().(*bfsScratch)
 	var diam int32
@@ -149,58 +148,6 @@ func (g *Graph) RadiusFrom(v V, r int) bool {
 	reached := len(s.queue)
 	bfsPool.Put(s)
 	return reached == g.N() && int(ecc) <= r
-}
-
-// EffectiveDiameter estimates the q-quantile (e.g. 0.9 for the "90th
-// percentile distance" the paper cites for DBLP) of pairwise distances by
-// sampling BFS from up to sample source vertices, visiting sources in a
-// fixed stride so the estimate is deterministic.
-func (g *Graph) EffectiveDiameter(q float64, sample int) int {
-	n := g.N()
-	if n == 0 {
-		return 0
-	}
-	if sample <= 0 || sample > n {
-		sample = n
-	}
-	stride := n / sample
-	if stride == 0 {
-		stride = 1
-	}
-	var dists []int
-	for v := 0; v < n; v += stride {
-		for _, d := range g.BFSFrom(V(v)) {
-			if d > 0 {
-				dists = append(dists, d)
-			}
-		}
-	}
-	if len(dists) == 0 {
-		return 0
-	}
-	// Counting sort: distances are small integers.
-	maxD := 0
-	for _, d := range dists {
-		if d > maxD {
-			maxD = d
-		}
-	}
-	counts := make([]int, maxD+1)
-	for _, d := range dists {
-		counts[d]++
-	}
-	target := int(q * float64(len(dists)))
-	if target >= len(dists) {
-		target = len(dists) - 1
-	}
-	cum := 0
-	for d, c := range counts {
-		cum += c
-		if cum > target {
-			return d
-		}
-	}
-	return maxD
 }
 
 // ConnectedComponents returns a component id per vertex and the number of
@@ -246,29 +193,75 @@ func (g *Graph) IsConnected() bool {
 	return reached == n
 }
 
-// DiameterAtMost reports whether Diameter() <= d, but exits early: the
-// per-source eccentricity scan aborts on the first vertex exceeding d, and
-// a connected graph whose first eccentricity e satisfies 2e <= d is
-// accepted after a single BFS (all pairwise distances are at most 2e by
-// the triangle inequality). Merge and growth checks only ever need the
-// threshold comparison, never the exact diameter.
-func (g *Graph) DiameterAtMost(d int) bool {
+// msbfsScratch holds ConnectedWithin's two word-per-vertex reach sets,
+// pooled like bfsScratch so warm growth and merge checks do not allocate.
+type msbfsScratch struct {
+	cur, next []uint64
+}
+
+var msbfsPool = sync.Pool{New: func() any { return new(msbfsScratch) }}
+
+// ConnectedWithin reports whether the graph is connected and every pair
+// of vertices is at most d edges apart: IsConnected() && Diameter() <= d
+// in one pass (the empty graph qualifies). Merge and growth checks only
+// ever need this threshold, never the exact diameter.
+//
+// It is a multi-source BFS over 64 sources at a time (MS-BFS, Then et
+// al., VLDB 2014): bit i of vertex v's word is set once source i of the
+// block is known to lie within the current depth of v, and each round
+// ORs every vertex's neighbour words into its own. A block passes as soon
+// as every word is full; the graph fails when a round changes nothing (a
+// source cannot reach some vertex) or when d rounds pass. The cost is at
+// most ⌈N/64⌉·d rounds of O(N+M) word operations, with two words of
+// scratch per vertex and no size cutoff.
+func (g *Graph) ConnectedWithin(d int) bool {
 	n := g.N()
-	if n == 0 {
-		return true
+	if n <= 1 {
+		return n == 0 || d >= 0
 	}
-	s := bfsPool.Get().(*bfsScratch)
+	if d < 1 {
+		return false
+	}
+	s := msbfsPool.Get().(*msbfsScratch)
+	if cap(s.cur) < n {
+		s.cur = make([]uint64, n)
+		s.next = make([]uint64, n)
+	}
+	cur, next := s.cur[:n], s.next[:n]
 	ok := true
-	for v := 0; v < n; v++ {
-		ecc := g.bfs(s, V(v))
-		if int(ecc) > d {
-			ok = false
-			break
+	for base := 0; base < n && ok; base += 64 {
+		k := min(64, n-base)
+		clear(cur)
+		for i := 0; i < k; i++ {
+			cur[base+i] = 1 << i
 		}
-		if v == 0 && 2*int(ecc) <= d && len(s.queue) == n {
-			break
-		}
+		ok = g.msbfsBlock(cur, next, ^uint64(0)>>(64-k), d)
 	}
-	bfsPool.Put(s)
+	msbfsPool.Put(s)
 	return ok
+}
+
+// msbfsBlock runs up to d MS-BFS rounds from the sources whose bits are
+// set in cur and reports whether every vertex's word reached full.
+func (g *Graph) msbfsBlock(cur, next []uint64, full uint64, d int) bool {
+	for round := 0; round < d; round++ {
+		changed, done := false, true
+		for v, word := range cur {
+			w := word
+			for _, u := range g.nbrs[g.offs[v]:g.offs[v+1]] {
+				w |= cur[u]
+			}
+			next[v] = w
+			changed = changed || w != word
+			done = done && w == full
+		}
+		if done {
+			return true
+		}
+		if !changed {
+			return false
+		}
+		cur, next = next, cur
+	}
+	return false
 }

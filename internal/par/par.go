@@ -25,6 +25,13 @@
 // poisoned and fall back to their last reduced state — which slots
 // completed depends on scheduling, and determinism of partial results is
 // only guaranteed at the caller's reduction boundaries.
+//
+// Fairness: a parallel worker that has run items back to back for
+// yieldQuantum yields its P (runtime.Gosched) before claiming the next
+// one. A worker never blocks, so without this it would hold its P until
+// the whole Do finishes, and while every P runs a worker the process's
+// other goroutines — an HTTP handler, a status reader, a timer — wait for
+// the pass to end.
 package par
 
 import (
@@ -32,6 +39,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Resolve normalizes a Workers configuration value to an actual worker
@@ -110,12 +118,14 @@ func Do(ctx context.Context, n, workers int, fn func(worker, item int)) error {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
+				pc := newPacer()
 				for {
 					i := int(next.Add(1)) - 1
 					if i >= n {
 						return
 					}
 					fn(w, i)
+					pc.tick()
 				}
 			}(w)
 		}
@@ -145,12 +155,14 @@ func Do(ctx context.Context, n, workers int, fn func(worker, item int)) error {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			pc := newPacer()
 			for !stop.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
 				fn(w, i)
+				pc.tick()
 			}
 		}(w)
 	}
@@ -160,6 +172,43 @@ func Do(ctx context.Context, n, workers int, fn func(worker, item int)) error {
 		return ctx.Err()
 	}
 	return nil
+}
+
+// yieldQuantum is how long a parallel worker runs items back to back
+// before it yields its P. A 200 µs slice cut the median wait of a 5 ms
+// status timer beside a 2-worker GID-10 mine on 2 CPUs from ~0.7 ms to
+// ~0.17 ms.
+const yieldQuantum = 200 * time.Microsecond
+
+// maxPaceStride bounds how many items a worker runs between clock reads.
+const maxPaceStride = 64
+
+// pacer times one worker's run of items for the yield. A clock read
+// costs ~50 ns on a VM against ~1 µs for a Stage I expansion item, so it
+// reads the clock every stride items: the stride doubles while a read
+// finds the slice less than an eighth used (short items), and resets to 1
+// after each yield, so long items are checked after every one.
+type pacer struct {
+	slice        time.Time
+	left, stride int
+}
+
+func newPacer() pacer { return pacer{slice: time.Now(), left: 1, stride: 1} }
+
+// tick runs after each item and yields the worker's P once the slice has
+// lasted yieldQuantum.
+func (p *pacer) tick() {
+	if p.left--; p.left > 0 {
+		return
+	}
+	switch el := time.Since(p.slice); {
+	case el >= yieldQuantum:
+		runtime.Gosched()
+		p.slice, p.stride = time.Now(), 1
+	case el < yieldQuantum/8 && p.stride < maxPaceStride:
+		p.stride *= 2
+	}
+	p.left = p.stride
 }
 
 // Map runs fn(worker, item) for every item in [0, n) under Do's scheduling

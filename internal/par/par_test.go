@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -174,6 +175,53 @@ func TestChunks(t *testing.T) {
 		}
 		if len(chunks) > Resolve(tc.workers) {
 			t.Fatalf("n=%d workers=%d: %d chunks", tc.n, tc.workers, len(chunks))
+		}
+	}
+}
+
+// TestDoYieldsToOtherGoroutines: while a Do keeps every P busy with
+// short CPU-bound items, a sleeping goroutine still wakes close to its
+// deadline, because workers yield their P every yieldQuantum. Without the
+// yield a timer due mid-pass waits for the pass to end or for the
+// runtime's ~10 ms preemption, so the median wake-up lateness is
+// milliseconds; with it, a fraction of one. Both the uncancellable and
+// the cancellable worker loops are checked.
+func TestDoYieldsToOtherGoroutines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: spins every CPU for about a second")
+	}
+	workers := runtime.GOMAXPROCS(0)
+	spin := func(_, _ int) {
+		for start := time.Now(); time.Since(start) < 20*time.Microsecond; {
+		}
+	}
+	for _, cancellable := range []bool{false, true} {
+		ctx := context.Background()
+		if cancellable {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithCancel(ctx)
+			defer cancel()
+		}
+		const naps = 21
+		late := make([]time.Duration, 0, naps)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < naps; i++ {
+				due := time.Now().Add(5 * time.Millisecond)
+				time.Sleep(5 * time.Millisecond)
+				late = append(late, time.Since(due))
+			}
+		}()
+		// 20 µs items for ~0.4 s of every worker's time: far longer than
+		// the naps, so every nap falls inside the pass.
+		if err := Do(ctx, 20000*workers, workers, spin); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		slices.Sort(late)
+		if med := late[naps/2]; med > 3*time.Millisecond {
+			t.Errorf("cancellable=%v: median wake-up lateness %v during a pass on every P, want under 3ms (all: %v)", cancellable, med, late)
 		}
 	}
 }

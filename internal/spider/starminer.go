@@ -54,7 +54,18 @@ type StarMiner struct {
 	curScrs     []*starScratch
 	csrFn       func(worker, item int)
 	expFn       func(worker, item int)
+
+	// capped records whether the last Mine stopped at Options.MaxSpiders;
+	// see Capped.
+	capped bool
 }
+
+// Capped reports whether the last Mine call stopped at Options.MaxSpiders:
+// either the level loop broke on the cap while frontier stars below
+// MaxLeaves were still waiting to expand, or the last level was cut to
+// fit the cap. A capped catalog may miss frequent stars, so results built
+// on it are truncated by a budget.
+func (sm *StarMiner) Capped() bool { return sm.capped }
 
 // expandSpan records which worker's output buffer holds one frontier
 // item's extensions, for the ordered concatenation after the join.
@@ -215,6 +226,7 @@ func (sm *StarMiner) Mine(ctx context.Context, g *graph.Graph, opt Options) ([]*
 	for _, s := range sm.ws.All() {
 		s.resetRun()
 	}
+	sm.capped = false
 
 	// Per-vertex sorted neighbor-label table, CSR-shaped. Chunks partition
 	// the vertex range contiguously, so workers write disjoint segments.
@@ -266,6 +278,7 @@ func (sm *StarMiner) Mine(ctx context.Context, g *graph.Graph, opt Options) ([]*
 	cur, spare := level1, frontier
 	for level := 1; level < maxLeaves && len(cur) > 0; level++ {
 		if opt.MaxSpiders > 0 && len(all) >= opt.MaxSpiders {
+			sm.capped = true
 			break
 		}
 		next, err := sm.expandLevel(ctx, g, cur, sigma, opt.Workers, spare[:0])
@@ -284,6 +297,7 @@ func (sm *StarMiner) Mine(ctx context.Context, g *graph.Graph, opt Options) ([]*
 	sm.frontier, sm.next = cur, spare
 	if opt.MaxSpiders > 0 && len(all) > opt.MaxSpiders {
 		all = all[:opt.MaxSpiders]
+		sm.capped = true
 	}
 	sm.all = all
 	return all, nil

@@ -161,3 +161,50 @@ func sameStars(got, want []*MinedStar) error {
 	}
 	return nil
 }
+
+// TestStarMinerCapped pins the MaxSpiders report: whenever the cap cut
+// the catalog (the uncapped reference is longer), Capped is set, and
+// whenever Capped is clear the catalog is the complete one. Caps sweep
+// every value from 1 to one past the full catalog, so they land inside
+// level 1, on level boundaries and past the end; a reused StarMiner must
+// clear the flag for an uncapped run.
+func TestStarMinerCapped(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	var sm StarMiner
+	for gi := 0; gi < 6; gi++ {
+		g := repeatedLabelGraph(30+rng.Intn(30), 2+rng.Intn(3), 1+rng.Intn(3), rng)
+		for _, maxLeaves := range []int{0, 1, 3} {
+			full := referenceStars(g, 2, maxLeaves, 0)
+			capHit, complete := 0, 0
+			for maxSpiders := 0; maxSpiders <= len(full)+1; maxSpiders++ {
+				got, err := sm.Mine(context.Background(), g, Options{MinSupport: 2, MaxLeaves: maxLeaves, MaxSpiders: maxSpiders, Workers: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cut := len(got) < len(full)
+				if cut && !sm.Capped() {
+					t.Fatalf("graph %d MaxLeaves %d MaxSpiders %d: %d of %d stars mined, Capped false", gi, maxLeaves, maxSpiders, len(got), len(full))
+				}
+				if !sm.Capped() {
+					if err := sameStars(got, full); err != nil {
+						t.Fatalf("graph %d MaxLeaves %d MaxSpiders %d: Capped false on an incomplete catalog: %v", gi, maxLeaves, maxSpiders, err)
+					}
+					complete++
+				} else {
+					capHit++
+				}
+			}
+			if capHit == 0 || complete == 0 {
+				t.Fatalf("graph %d MaxLeaves %d: cap hit %d times, complete %d times; the sweep must see both", gi, maxLeaves, capHit, complete)
+			}
+		}
+		// A level-1-only catalog exactly at the cap is complete.
+		l1 := referenceStars(g, 2, 1, 0)
+		if _, err := sm.Mine(context.Background(), g, Options{MinSupport: 2, MaxLeaves: 1, MaxSpiders: len(l1)}); err != nil {
+			t.Fatal(err)
+		}
+		if sm.Capped() {
+			t.Fatalf("graph %d: level-1 catalog of exactly MaxSpiders=%d stars reported capped", gi, len(l1))
+		}
+	}
+}

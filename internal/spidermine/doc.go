@@ -40,9 +40,10 @@
 //     call is copied out (e.g. merge winners copy their embedding lists
 //     out of the pooled buckets).
 //   - Worker-indexed accumulators (par.Slots): progress flags, iso-run
-//     counters, and item-indexed merge results, zero-filled on For and
-//     reduced in item order after each join, preserving the PR 2
-//     determinism contract (bit-identical results for any worker count).
+//     counters, and the group-indexed merge memo (tryMerge results and
+//     their evaluated flags) with its predicted-consumed copy, zero-filled
+//     on For and reduced in item order, preserving the PR 2 determinism
+//     contract (bit-identical results for any worker count).
 //   - Retained embeddings are carved from exact-capacity flat backing
 //     ([]graph.V sized before the append loop), so growing one pattern's
 //     embedding list can never reallocate under a neighbor's sub-slice.
@@ -72,6 +73,34 @@
 //     Stats.IsoRun counts those fallback calls (plus result-dedupe code
 //     comparisons); the merge canonicalisations fold into
 //     Stats.CanonRun/CanonNodes at each join.
+//   - Union build: graph.AppendUnionEdges sorts packed edge words, and
+//     graph.SubgraphOfEdgesInto dedupes endpoints through an
+//     epoch-stamped host-vertex table in the worker's mergeScratch, sorts
+//     only the distinct vertices (ascending host order fixes the
+//     embedding order) and maps edge endpoints through the table. One
+//     bit-parallel graph.ConnectedWithin call (MS-BFS over 64 sources per
+//     pass) decides "connected and diameter ≤ Dmax" for each union, and
+//     the diameter check of a grown pattern in extendAt. The image-key
+//     tie-break between frequent buckets is built only when two of them
+//     tie on edges and embeddings.
+//
+// # Merge rounds across workers
+//
+// Within a round tryMerge is read-only on the working set, so a pair
+// group's result is fixed once computed. mergeParallel memoizes results
+// by group index; its reduction cursor walks groups in key order,
+// skipping groups with a consumed endpoint and applying memoized
+// results, and stops at the first live unevaluated group. Each wave is
+// predicted by a forward walk from the cursor over a copy of consumed
+// that assumes every pending group, and every memoized merge, takes both
+// endpoints (memoized failures take none), picking up to `workers`
+// unevaluated groups with both endpoints free. The cursor group is
+// always picked, so waves always progress, and a picked group is wasted
+// only when an earlier merge the walk counted on fails: Stats.IsoRun and
+// the merge share of Stats.CanonRun exceed the sequential run's only
+// after a failed merge (TestMergeSpeculationBounded holds a GID-6 mine
+// within 10%; TestMergeSchedulerReusesAndDiscards drives the reuse and
+// discard paths).
 //
 // # Performance notes: packed keys
 //

@@ -327,9 +327,11 @@ func (m *Miner) extendAt(p *pattern.Pattern, b graph.V, sc *growScratch) bool {
 	newG := sc.b.Build()
 	// Exact diameter check (the ecc pre-check above is necessary but not
 	// sufficient once several boundary vertices have grown this pass).
-	// For very large patterns the O(V·(V+E)) exact check is deferred to
-	// the final top-K filter; the ecc guard alone bounds overshoot to +1.
-	if newG.N() <= 256 && !newG.DiameterAtMost(m.cfg.Dmax) {
+	// newG is connected (p is, and every leaf hangs off b), so the
+	// bit-parallel check tests only the diameter. For very large patterns
+	// the exact check is deferred to the final top-K filter; the ecc guard
+	// alone bounds overshoot to +1.
+	if newG.N() <= 256 && !newG.ConnectedWithin(m.cfg.Dmax) {
 		return false
 	}
 

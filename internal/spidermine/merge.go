@@ -248,8 +248,8 @@ type mbucket struct {
 }
 
 // mergeScratch is one worker's tryMerge state: mapped-edge and union
-// buffers, the union-hash dedupe set, the pooled subgraph builder and
-// vertex scratch, the bucket pool, the Canonizer that keys buckets and
+// buffers, the union-hash dedupe set, the subgraph scratch (endpoint
+// table and builder), the bucket pool, the Canonizer that keys buckets and
 // its code buffer, and the isomorphism scratch for non-rigid unions.
 // Owned by exactly one worker for the duration of a merge wave; the
 // Canonizer's counters are folded into Stats at the wave's join.
@@ -258,8 +258,7 @@ type mergeScratch struct {
 	unionBuf   []graph.Edge
 	imgBuf     []graph.Edge
 	seenUnions map[[2]uint64]struct{}
-	vertsBuf   []graph.V
-	b          graph.Builder
+	sub        graph.SubgraphScratch
 	buckets    []*mbucket
 	cz         canon.Canonizer
 	code       []byte
@@ -311,15 +310,11 @@ func (m *Miner) tryMerge(pa, pb *pattern.Pattern, eps []uint64, sc *mergeScratch
 			continue
 		}
 		sc.seenUnions[uh] = struct{}{}
-		ug, verts := m.g.SubgraphOfEdgesInto(union, sc.vertsBuf, &sc.b)
-		sc.vertsBuf = verts
-		if !ug.IsConnected() {
-			continue
-		}
-		// Merged patterns must respect the diameter bound; a union that
-		// exceeds Dmax cannot be a subgraph of a valid result pattern that
-		// this merge is meant to witness.
-		if !ug.DiameterAtMost(m.cfg.Dmax) {
+		ug, verts := m.g.SubgraphOfEdgesInto(union, &sc.sub)
+		// Merged patterns must be connected and respect the diameter
+		// bound; a union that exceeds Dmax cannot be a subgraph of a valid
+		// result pattern that this merge is meant to witness.
+		if !ug.ConnectedWithin(m.cfg.Dmax) {
 			continue
 		}
 		// One canonicalisation per distinct union; its code names the
@@ -385,12 +380,13 @@ func (m *Miner) tryMerge(pa, pb *pattern.Pattern, eps []uint64, sc *mergeScratch
 	}
 
 	// Choose the best frequent bucket: largest structure first, then most
-	// embeddings, then a canonical tie-break on the first embedding's
-	// image key (evaluation order must not leak into results; the exact
-	// ImageKey strings are kept here — the tie-break must order total, and
-	// it only runs on the rare frequent buckets).
+	// embeddings, then a canonical tie-break on the smallest image key of
+	// its embeddings (evaluation order must not leak into results). The
+	// exact ImageKey strings are kept — the tie-break must order total —
+	// but they are built only when two frequent buckets tie on edges and
+	// embeddings; bestKey is then filled lazily for the incumbent.
 	var best *mbucket
-	bestKey := ""
+	bestKey, haveKey := "", false
 	firstKey := func(bk *mbucket) string {
 		if len(bk.embs) == 0 {
 			return ""
@@ -411,12 +407,13 @@ func (m *Miner) tryMerge(pa, pb *pattern.Pattern, eps []uint64, sc *mergeScratch
 		case best == nil,
 			bk.repr.M() > best.repr.M(),
 			bk.repr.M() == best.repr.M() && len(bk.embs) > len(best.embs):
-			best = bk
-			bestKey = firstKey(bk)
+			best, haveKey = bk, false
 		case bk.repr.M() == best.repr.M() && len(bk.embs) == len(best.embs):
+			if !haveKey {
+				bestKey, haveKey = firstKey(best), true
+			}
 			if k := firstKey(bk); k < bestKey {
-				best = bk
-				bestKey = k
+				best, bestKey = bk, k
 			}
 		}
 	}

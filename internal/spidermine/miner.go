@@ -68,7 +68,9 @@ type Config struct {
 	// KeepUnmerged disables Stage II pruning (ablation: all grown seeds
 	// survive to Stage III).
 	KeepUnmerged bool
-	// MaxSpiders caps Stage I enumeration (0 = unlimited).
+	// MaxSpiders caps Stage I enumeration (0 = unlimited). A run whose
+	// star catalog the cap cut reports Stats.SpidersCapped: the catalog
+	// may miss frequent stars, so the result is a budget-truncated one.
 	MaxSpiders int
 	// MergePairCap bounds overlapping-embedding pairs examined per pattern
 	// pair each iteration (default 4096).
@@ -85,8 +87,9 @@ type Config struct {
 	// growth; every stage reduces its per-worker results in a fixed item
 	// order, so the Result is bit-identical for any setting (see
 	// TestParallelEqualsSequential). Only Stats counters that track work
-	// performed (IsoRun) may differ, because parallel merge rounds evaluate
-	// candidate pairs speculatively.
+	// performed (IsoRun, CanonRun, CanonNodes) may differ, because a
+	// parallel merge round evaluates candidate pairs speculatively after a
+	// failed merge.
 	Workers int
 	// OnProgress, when non-nil, receives streaming stage events: Stage I
 	// completion, each restart's seed draw, and every grow+merge /
@@ -163,12 +166,13 @@ func (c Config) withDefaults(g *graph.Graph) Config {
 // Stats reports per-run counters.
 type Stats struct {
 	NumSpiders     int           // |S_all| mined in Stage I
+	SpidersCapped  bool          // Config.MaxSpiders stopped Stage I star enumeration (spider.StarMiner.Capped)
 	M              int           // seed draw size (Lemma 2)
 	GrowIterations int           // total SpiderGrow iterations
 	Merges         int           // successful CheckMerge events
 	IsoSkipped     int64         // isomorphism tests skipped by spider-set pruning
-	IsoRun         int64         // exact isomorphism tests: result-dedupe code comparisons plus merge MapInto fallbacks for unions with automorphisms (work counter; may grow with Workers > 1 — parallel merge rounds evaluate pairs speculatively)
-	CanonRun       int64         // canonical-code computations: spider-set signatures, exact identity checks and one per distinct merge union (the latter may grow with Workers > 1)
+	IsoRun         int64         // exact isomorphism tests: result-dedupe code comparisons plus merge MapInto fallbacks for unions with automorphisms (work counter; with Workers > 1 a merge wave evaluates pairs speculatively, so it can grow after a failed merge)
+	CanonRun       int64         // canonical-code computations: spider-set signatures, exact identity checks and one per distinct merge union (the latter can grow with Workers > 1 after a failed merge, see IsoRun)
 	CanonNodes     int64         // individualization–refinement search nodes across those runs; CanonNodes/CanonRun quantifies the orbit/trace pruning
 	StageI         time.Duration // spider mining time
 	StageII        time.Duration // growth + merge time
@@ -258,8 +262,13 @@ type Miner struct {
 	matcherWS par.Workspace[canon.Matcher]
 	anyFlag   par.Slots[bool]
 	isoRuns   par.Slots[int64]
-	results   par.Slots[*pattern.Pattern]
-	batch     []pairGroup
+	// mergeParallel's round state: memoized tryMerge results and their
+	// evaluated flags by group index, the predicted-consumed copy the
+	// wave walk marks, and the wave's group indices.
+	memo      par.Slots[*pattern.Pattern]
+	evaluated par.Slots[bool]
+	taken     par.Slots[bool]
+	wave      []int32
 }
 
 // labelPair is one frequent (head, leaf) spider-edge entry of the flat
@@ -407,6 +416,7 @@ func (m *Miner) RunContext(ctx context.Context) (*Result, error) {
 		m.stats.StageI = time.Since(t0)
 		return &Result{Stats: m.stats}, starErr
 	}
+	m.stats.SpidersCapped = m.sm.Capped()
 	m.catalog.Rebuild(stars)
 	// Flat frequent-pair index from the single-leaf stars; sorted so lookup
 	// order is independent of the star list's order.

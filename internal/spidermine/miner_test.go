@@ -253,3 +253,24 @@ func TestRadius2Seeds(t *testing.T) {
 		t.Fatalf("radius-2 largest pattern only %d vertices", res.Patterns[0].NV())
 	}
 }
+
+// TestMaxSpidersCapReported: a run whose Stage I star catalog the
+// MaxSpiders cap cut says so in Stats.SpidersCapped; an uncapped run and
+// a cap above the catalog do not.
+func TestMaxSpidersCapReported(t *testing.T) {
+	g, _ := gid1()
+	cfg := Config{MinSupport: 2, K: 5, Dmax: 4, Seed: 7}
+	full := Mine(g, cfg)
+	if full.Stats.SpidersCapped {
+		t.Fatal("uncapped run reports a capped Stage I")
+	}
+	cfg.MaxSpiders = full.Stats.NumSpiders / 2
+	res := Mine(g, cfg)
+	if !res.Stats.SpidersCapped || res.Stats.NumSpiders != cfg.MaxSpiders {
+		t.Fatalf("MaxSpiders=%d of %d: SpidersCapped=%v NumSpiders=%d", cfg.MaxSpiders, full.Stats.NumSpiders, res.Stats.SpidersCapped, res.Stats.NumSpiders)
+	}
+	cfg.MaxSpiders = full.Stats.NumSpiders + 1
+	if res := Mine(g, cfg); res.Stats.SpidersCapped {
+		t.Fatalf("MaxSpiders above the %d-star catalog reports a capped Stage I", full.Stats.NumSpiders)
+	}
+}

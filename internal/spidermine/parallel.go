@@ -61,58 +61,86 @@ func (m *Miner) growAllParallel(ws []*grown, workers int) (bool, error) {
 }
 
 // mergeParallel evaluates merge-candidate pair groups with a worker pool
-// in bounded batched waves, reducing each wave in sorted key order via
-// apply. tryMerge is read-only on the working patterns and confines its
-// state to the worker's mergeScratch, so the groups of one wave evaluate
-// concurrently; speculation is bounded to the wave, because only groups
-// whose endpoints are unconsumed when the wave is gathered enter it. A
-// wave member whose endpoint an earlier (in key order) wave-mate consumed
-// is discarded during the reduction — exactly the groups the sequential
-// engine would have skipped — so the accepted merges, their IDs, and
-// their order are identical for any worker count. Only the
-// speculative-work counters (Stats.IsoRun, and the merge
-// canonicalisations in Stats.CanonRun/CanonNodes) can exceed the
-// sequential run's. mergeParallel returns ctx.Err() if a wave is cancelled
-// mid-evaluation; waves already reduced stay applied, the cancelled wave
-// is discarded, and the caller's caller rolls back to its last committed
+// and reduces them in sorted key order via apply, exactly as the
+// sequential loop in checkMerges does. tryMerge is read-only on the
+// working patterns (and ws[i].p does not change within a round), so a
+// group's result is memoized by group index until the reduction reaches
+// it:
+//
+//   - The reduction cursor walks groups in key order, skipping groups
+//     with a consumed endpoint and applying memoized results, and stops at
+//     the first live group not yet evaluated.
+//   - The next wave is a prediction of what the sequential engine will
+//     evaluate next: a forward walk from the cursor over a copy of
+//     consumed that assumes every pending group, and every group whose
+//     memoized result is a merge, takes both endpoints. Memoized failures
+//     take none. The walk picks up to `workers` unevaluated groups whose
+//     endpoints are both still free.
+//
+// The cursor group is always picked, so every wave makes progress, and a
+// picked group is wasted only when an earlier merge the walk counted on
+// fails. Accepted merges, their IDs and their order are therefore
+// identical for any worker count; only the speculative-work counters
+// (Stats.IsoRun and the merge canonicalisations in
+// Stats.CanonRun/CanonNodes) can exceed the sequential run's, and only
+// after a failed merge. mergeParallel returns ctx.Err() if a wave is
+// cancelled mid-evaluation; merges already applied stay on the round's
+// state, and the caller's caller rolls back to its last committed
 // snapshot.
 func (m *Miner) mergeParallel(ws []*grown, groups []pairGroup, workers int, consumed []bool, apply func(pairKey, *pattern.Pattern)) error {
-	batchCap := workers
 	scs := m.mergeWS.For(workers)
 	isoRuns := m.isoRuns.For(workers)
-	results := m.results.For(batchCap)
-	batch := m.batch[:0]
-	pos := 0
-	for pos < len(groups) {
-		batch = batch[:0]
-		for pos < len(groups) && len(batch) < batchCap {
-			gp := groups[pos]
-			pos++
-			if consumed[gp.pk.a] || consumed[gp.pk.b] {
+	memo := m.memo.For(len(groups))
+	evaluated := m.evaluated.For(len(groups))
+	taken := m.taken.For(len(ws))
+	wave := m.wave[:0]
+	defer func() {
+		clear(memo) // drop the discarded speculative patterns
+		m.wave = wave
+		m.foldMergeStats(scs, isoRuns)
+	}()
+	for cur := 0; ; {
+		for ; cur < len(groups); cur++ {
+			pk := groups[cur].pk
+			if consumed[pk.a] || consumed[pk.b] {
 				continue
 			}
-			batch = append(batch, gp)
+			if !evaluated[cur] {
+				break
+			}
+			if mp := memo[cur]; mp != nil {
+				apply(pk, mp)
+			}
 		}
-		if err := par.Do(m.ctx, len(batch), workers, func(wk, i int) {
-			gp := batch[i]
-			results[i] = m.tryMerge(ws[gp.pk.a].p, ws[gp.pk.b].p, m.mergeCands[gp.lo:gp.hi], scs[wk], &isoRuns[wk])
+		if cur == len(groups) {
+			return nil
+		}
+		copy(taken, consumed)
+		wave = wave[:0]
+		for i := cur; i < len(groups) && len(wave) < workers; i++ {
+			pk := groups[i].pk
+			if taken[pk.a] || taken[pk.b] {
+				continue
+			}
+			if evaluated[i] && memo[i] == nil {
+				continue
+			}
+			if !evaluated[i] {
+				wave = append(wave, int32(i))
+			}
+			taken[pk.a], taken[pk.b] = true, true
+		}
+		if err := par.Do(m.ctx, len(wave), workers, func(wk, i int) {
+			gi := wave[i]
+			gp := groups[gi]
+			memo[gi] = m.tryMerge(ws[gp.pk.a].p, ws[gp.pk.b].p, m.mergeCands[gp.lo:gp.hi], scs[wk], &isoRuns[wk])
 		}); err != nil {
-			m.batch = batch
-			m.foldMergeStats(scs, isoRuns)
 			return err
 		}
-		for i, gp := range batch {
-			if consumed[gp.pk.a] || consumed[gp.pk.b] {
-				continue
-			}
-			if mp := results[i]; mp != nil {
-				apply(gp.pk, mp)
-			}
+		for _, gi := range wave {
+			evaluated[gi] = true
 		}
 	}
-	m.batch = batch
-	m.foldMergeStats(scs, isoRuns)
-	return nil
 }
 
 // foldMergeStats adds the workers' fallback isomorphism tests and merge

@@ -25,7 +25,7 @@ func codecHost() *Graph {
 	return b.Build()
 }
 
-func mustMine(t *testing.T) *Result {
+func mustMine(t testing.TB) *Result {
 	t.Helper()
 	m, err := Get("spidermine")
 	if err != nil {

@@ -177,7 +177,9 @@ type Options struct {
 	MaxEmbeddings int
 
 	// MaxSpiders and MaxLeavesPerStar are SpiderMine Stage I enumeration
-	// budgets (0 = unlimited); bound them on scale-free hosts.
+	// budgets (0 = unlimited); bound them on scale-free hosts. A run whose
+	// spider catalog MaxSpiders cut reports Truncated = TruncatedBudget
+	// (a deadline or cancellation still reports as such).
 	MaxSpiders       int
 	MaxLeavesPerStar int
 
@@ -220,7 +222,8 @@ const (
 	// holds the deterministic committed partial state.
 	TruncatedCanceled Truncation = "canceled"
 	// TruncatedBudget: a miner-internal enumeration budget (e.g. MoSS's
-	// pattern-space exhaustion guard) stopped the run early.
+	// pattern-space exhaustion guard, or SpiderMine's MaxSpiders cap on
+	// Stage I) stopped the run early.
 	TruncatedBudget Truncation = "budget"
 )
 

@@ -172,6 +172,9 @@ func mineSpiderMine(ctx context.Context, host Host, opts Options) (*Result, erro
 		res, runErr = spidermine.MineContext(ctx, host.Graph, cfg)
 	}
 	out := &Result{Patterns: res.Patterns}
+	if res.Stats.SpidersCapped {
+		out.Truncated = TruncatedBudget
+	}
 	out.Stats = Stats{
 		Spiders:        res.Stats.NumSpiders,
 		SeedDraws:      res.Stats.M,

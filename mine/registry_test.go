@@ -173,3 +173,22 @@ func TestMaxPatternsTruncates(t *testing.T) {
 		t.Errorf("Truncated = %q, want %q", res.Truncated, TruncatedMaxPatterns)
 	}
 }
+
+// TestMaxSpidersTruncatesBudget: SpiderMine's Stage I cap is a budget, so
+// a run whose spider catalog it cut reports TruncatedBudget with a nil
+// error, and an uncapped run reports no truncation.
+func TestMaxSpidersTruncatesBudget(t *testing.T) {
+	m, _ := Get("spidermine")
+	for _, tc := range []struct {
+		maxSpiders int
+		want       Truncation
+	}{{0, TruncatedNone}, {1, TruncatedBudget}, {1 << 20, TruncatedNone}} {
+		res, err := m.Mine(context.Background(), SingleGraph(motifGraph()), Options{MinSupport: 2, MaxSpiders: tc.maxSpiders})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Truncated != tc.want {
+			t.Errorf("MaxSpiders=%d: Truncated = %q, want %q", tc.maxSpiders, res.Truncated, tc.want)
+		}
+	}
+}
